@@ -30,8 +30,9 @@ ED_CASES_TINY = ((3, 3, 1), (4, 2, 1))
 # the seed never changes the number of open channels.
 ED_U_OVER_J = (0.1, 5.0)
 ED_ANGLES = 91
-# Sweeps over the cached spectra, each a warm_s sample.
-WARM_REPEATS = 3
+# Sweeps over each cached spectrum; each repeat, summed over lattices, is a
+# warm_s sample.
+WARM_REPEATS = 5
 
 # xs-angles: exact spectra at L=5, N=1..10 for U=0 (the free-gas oracle)
 # plus one drawn interaction; Bogoliubov states at three lattice sizes
@@ -188,15 +189,18 @@ def run_pass(workload: str, inputs: dict, state, tracer: Tracer) -> PassResult:
 
 
 def _ed_sweep(inputs, calls: _Calls, outputs: dict, errors: list) -> list:
-    """Cold ED of every lattice, then WARM_REPEATS exact-vs-Bogoliubov sweeps.
+    """Cold ED of each lattice, each followed by WARM_REPEATS exact-vs-Bogoliubov sweeps.
 
-    Returns the time of each sweep over all spectra, which is what a re-run
-    with every spectrum already cached would pay.
+    Returns one sample per repeat: the time of that repeat's sweeps summed
+    over all lattices, which is what a re-run with every spectrum already
+    cached would pay.  The sweeps sit between the diagonalizations rather
+    than after all of them, so each sample spans the whole pass and a slow
+    spell of the machine weighs on every sample alike.
     """
     tr = calls.tr
     thetas = inputs["thetas"]
     probes = [ls.ProbeSpec(E0=E0, theta=t) for t in thetas]
-    cold = []
+    sweep_s = [0.0] * WARM_REPEATS
     for i, case in enumerate(inputs["lattices"]):
         L, N = case["L"], case["N"]
         lattice = _lattice(L, N, case["U_over_J"])
@@ -214,27 +218,28 @@ def _ed_sweep(inputs, calls: _Calls, outputs: dict, errors: list) -> list:
             continue
         calls.counts["exact.basis_states"] += basis.dim
         calls.counts["exact.dense_bytes"] += dense_bytes(basis.dim)
-        cold.append((i, lattice, cached_form(spectrum)))
-        del spectrum
+        spectrum = cached_form(spectrum)
 
-    sweep_s, first = [], None
-    for repeat in range(WARM_REPEATS):
-        start = time.perf_counter()
-        swept = {}
-        for i, lattice, spectrum in cold:
+        first = None
+        for repeat in range(WARM_REPEATS):
+            start = time.perf_counter()
             try:
                 rows = [calls.exact(spectrum, lattice, p) for p in probes]
                 state = tr.call("bogoliubov.depletion", ls.solve_depletion, lattice)
                 bog = [calls.bog(state, p, lattice.V0) for p in probes]
-                swept[i] = (spectrum.ground_energy, rows, bog, calls.deviation(spectrum, state, lattice, thetas))
+                swept = (spectrum.ground_energy, rows, bog,
+                         calls.deviation(spectrum, state, lattice, thetas))
             except ls.LatscatError as exc:
                 errors.append(f"sweep {repeat} case {i}: {exc!r}")
-        sweep_s.append(time.perf_counter() - start)
+                break
+            sweep_s[repeat] += time.perf_counter() - start
+            if first is None:
+                first = swept
+            elif swept != first:
+                errors.append(f"sweep {repeat} case {i} gave other values than sweep 0")
         if first is None:
-            first = swept
-        elif swept != first:
-            errors.append(f"sweep {repeat} gave other values than sweep 0")
-    for i, (ground_energy, rows, bog, delta) in first.items():
+            continue
+        ground_energy, rows, bog, delta = first
         key = f"case{i}"
         outputs[f"{key}.ground_energy"] = [ground_energy]
         outputs[f"{key}.elastic"] = [cs.elastic for cs in rows]

@@ -7,13 +7,14 @@ Run from the repository root:
     python3 bench/run.py --workload all
 
 Each run sets up ``SETUP_REPEATS`` times, then repeats the workload's timed
-pass until ``--seconds`` have passed (at least once), checks every pass's
-outputs, and prints each metric with its median and sample count.  The
-last line of standard output is one JSON object:
-``{"correct", "attempted", "failed", "metrics"}``, where ``metrics`` holds
-the end-to-end metrics of BENCHMARK.json for ``--trace 0`` and its
-per-layer metrics for ``--trace 1``.  A traced run alternates untraced and
-traced passes; end-to-end numbers always come from untraced runs.
+pass until ``--seconds`` have passed (at least once, and for ``ed-sweep``
+at least twice), checks every pass's outputs, and prints each metric with
+its median and sample count.  The last line of standard output is one
+JSON object: ``{"correct", "attempted", "failed", "metrics"}``, where
+``metrics`` holds the end-to-end metrics of BENCHMARK.json for
+``--trace 0`` and its per-layer metrics for ``--trace 1``.  A traced run
+alternates untraced and traced passes; end-to-end numbers always come from
+untraced runs.
 bench/README.md describes the workloads and metrics.
 """
 from __future__ import annotations
@@ -40,6 +41,17 @@ SPEC = ROOT / "BENCHMARK.json"
 
 WORKLOADS = {"ed-sweep": "api_workloads", "xs-angles": "api_workloads", "datasets": "cli_workload"}
 SETUP_REPEATS = 3
+# Timed passes a full-size run makes at least.  An ed-sweep pass takes about
+# as long as a run's --seconds, and on a shared VM (the reference machine of
+# bench/README.md) speed drifts by a fifth over spells of some ten seconds,
+# so a single pass would leave its medians to whichever spell it met.
+MIN_PASSES = {"ed-sweep": 2}
+# A timing sample is the mean of consecutive passes (or sweeps) that last
+# together at least this long.  On a shared VM a short pass is fast or
+# slow by a fifth, in spells of a few seconds, so the median of short
+# passes jumps between the two speeds; the mean over ten seconds moves far
+# less.
+BLOCK_S = 10.0
 CHILD_TIMEOUT_S = 170
 
 # A fresh interpreter importing the CLI: the start-up every latscat command pays.
@@ -84,6 +96,26 @@ def quartiles(values: list) -> tuple:
     return q[0], q[2]
 
 
+def blocks(times: list, block_s: float = BLOCK_S) -> list:
+    """Mean time per item of consecutive runs of ``times`` lasting ``block_s`` or more.
+
+    A short last block is merged into the one before it, so every timed
+    item counts.
+    """
+    out, block = [], []
+    for t in times:
+        block.append(t)
+        if sum(block) >= block_s:
+            out.append(block)
+            block = []
+    if block:
+        if out:
+            out[-1] += block
+        else:
+            out.append(block)
+    return [sum(b) / len(b) for b in out]
+
+
 def layer_metrics(result) -> dict:
     """Per-layer numbers of one traced pass: span self times, counts, manifest values."""
     values = spans.span_metrics(result.spans)
@@ -112,12 +144,14 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool, tiny: bo
         setup_s.append(time.perf_counter() - start)
 
     untraced, traced = [], []
+    min_passes = 1 if tiny else MIN_PASSES.get(workload, 1)
     start = time.perf_counter()
     while True:
         tracer = spans.Tracer(enabled=trace and len(untraced) > len(traced))
         result = mod.run_pass(workload, inputs, state, tracer)
         (traced if tracer.enabled else untraced).append(result)
-        if time.perf_counter() - start >= seconds and (traced or not trace):
+        if (time.perf_counter() - start >= seconds and (traced or not trace)
+                and len(untraced) + len(traced) >= min_passes):
             break
 
     reference = None
@@ -145,8 +179,8 @@ def summarize(run: dict, spec: dict, trace: bool) -> tuple:
     """(metric samples by name, JSON metrics) for the BENCHMARK.json metric list."""
     samples = {}
     if not trace:
-        samples["wall_s"] = [r.wall_s for r in run["untraced"]]
-        samples["warm_s"] = [w for r in run["untraced"] for w in r.warm_s]
+        samples["wall_s"] = blocks([r.wall_s for r in run["untraced"]])
+        samples["warm_s"] = blocks([w for r in run["untraced"] for w in r.warm_s])
         samples["setup_s"] = run["setup_s"]
         samples["peak_rss_mb"] = [peak_rss_mb()]
         metrics = spec["end_to_end"]

@@ -65,6 +65,14 @@ def test_self_time_subtracts_children():
     assert metrics["a.self_s"] == 6.0
 
 
+def test_blocks_average_consecutive_samples_and_keep_every_one():
+    assert run.blocks([3.0, 1.0, 2.0, 2.0, 5.0], block_s=4.0) == [2.0, 2.0, 5.0]
+    # a short last block joins the one before it
+    assert run.blocks([3.0, 1.0, 1.0, 2.0], block_s=4.0) == [7.0 / 4]
+    assert run.blocks([1.0, 2.0], block_s=4.0) == [1.5]
+    assert run.blocks([20.0, 30.0], block_s=4.0) == [20.0, 30.0]
+
+
 def _skewed(fn, field):
     def wrapped(*args):
         cs = fn(*args)
