@@ -20,44 +20,109 @@ from .errors import (
     CapacityError,
     NumericalError,
 )
-from .scans import PROVENANCES, ScanConfig, execute
+from .scans import COMMANDS, PROVENANCES, ScanConfig, execute
 
-_COMMANDS = (
-    "theta-scan",
-    "u-scan",
-    "heatmap",
-    "depletion",
-    "deviation-map",
-    "slope",
-    "compare",
-)
 
-_COMMAND_HELP = {
-    "theta-scan": "angle sweep of elastic/inelastic cross sections",
-    "u-scan": "interaction sweep of the inelastic cross section at fixed angle",
-    "heatmap": "(E0, theta) map of the quasiparticle inelastic cross section",
-    "depletion": "condensate depletion vs interaction with the quadratic law",
-    "deviation-map": "(n, U/J) map of the angle-averaged exact-vs-quasiparticle deviation",
-    "slope": "linear decay slope Lambda(theta) per L with the large-L reference",
-    "compare": "exact vs quasiparticle curves with per-angle deviation",
+def _parse_int(name, text) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise BadParameterError(f"--{name} must be an integer, got {text!r}") from exc
+
+
+def _parse_float(name, text) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise BadParameterError(f"--{name} must be a number, got {text!r}") from exc
+
+
+def _parse_L(text) -> dict:
+    values = tuple(_parse_int("L", piece) for piece in text.split(","))
+    for L in values:
+        if L < 2:
+            raise BadParameterError(f"--L must be at least 2, got {L}")
+    return {"L_values": values}
+
+
+def _number(key, cast=_parse_float, valid=lambda value: True, rule=""):
+    """Parser of one numeric flag that refuses values outside its domain."""
+    flag = key.replace("_", "-")
+
+    def parse(text) -> dict:
+        value = cast(flag, text)
+        if not valid(value):
+            raise BadParameterError(f"--{flag} must be {rule}, got {value}")
+        return {key: value}
+
+    return parse
+
+
+def _parse_theta_grid(text) -> dict:
+    """Integer -> uniform point count; comma floats -> explicit angles."""
+    try:
+        count = int(text)
+    except ValueError:
+        angles = tuple(_parse_float("theta-grid", piece) for piece in text.split(","))
+        return {"theta_values": angles}
+    if count < 2:
+        raise BadParameterError(f"--theta-grid needs at least 2 points, got {count}")
+    return {"theta_points": count}
+
+
+def _parse_u_grid(text) -> dict:
+    if ":" in text:
+        pieces = text.split(":")
+        if len(pieces) != 3:
+            raise BadParameterError(f"--u-grid range must be lo:hi:count, got {text!r}")
+        lo = _parse_float("u-grid", pieces[0])
+        hi = _parse_float("u-grid", pieces[1])
+        count = _parse_int("u-grid", pieces[2])
+        if count < 1:
+            raise BadParameterError(f"--u-grid count must be positive, got {count}")
+        return {"u_grid": tuple(float(v) for v in np.linspace(lo, hi, count))}
+    values = tuple(_parse_float("u-grid", piece) for piece in text.split(","))
+    if not values:
+        raise BadParameterError("--u-grid is empty")
+    return {"u_grid": values}
+
+
+def _parse_provenance(text) -> dict:
+    values = tuple(piece.strip() for piece in text.split(","))
+    for p in values:
+        if p not in PROVENANCES:
+            raise BadParameterError(
+                f"unknown provenance {p!r}; choose from {', '.join(PROVENANCES)}"
+            )
+    return {"provenance": values}
+
+
+# Every flag of every subcommand: config key -> (help, parser into ScanConfig
+# fields).  The flag is --key with '_' -> '-'; a --config file takes the keys.
+_FLAGS = {
+    "L": ("lattice sites (slope accepts a comma list)", _parse_L),
+    "N": (
+        "particle number (overrides --n)",
+        _number("N", _parse_int, lambda N: N >= 1, "positive"),
+    ),
+    "n": ("filling; N = round(n*L)", _number("n", valid=lambda n: n > 0, rule="positive")),
+    "U_over_J": (
+        "on-site repulsion over hopping",
+        _number("U_over_J", valid=lambda u: u >= 0, rule="nonnegative"),
+    ),
+    "J": ("hopping in recoil units", _number("J")),
+    "V0": ("lattice depth in recoil units", _number("V0")),
+    "E0": ("probe kinetic energy in recoil units", _number("E0")),
+    "mass_ratio": ("probe/boson mass ratio", _number("mass_ratio")),
+    "theta_grid": (
+        "angle count on [0, pi/2], or comma-separated angles in radians",
+        _parse_theta_grid,
+    ),
+    "u_grid": ("interaction grid: lo:hi:count or comma-separated values", _parse_u_grid),
+    "provenance": (f"comma list from {{{', '.join(PROVENANCES)}}}", _parse_provenance),
+    "cache_dir": ("spectrum cache directory", lambda text: {"cache_dir": text}),
+    "out": ("output CSV path (manifest goes next to it)", lambda text: {"out": text}),
 }
-
-# config-file / flag keys that resolve_config understands
-_KEYS = (
-    "L",
-    "N",
-    "n",
-    "U_over_J",
-    "J",
-    "V0",
-    "E0",
-    "mass_ratio",
-    "theta_grid",
-    "u_grid",
-    "provenance",
-    "cache_dir",
-    "out",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,31 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"latscat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
-        p.add_argument("--L", help="lattice sites (slope accepts a comma list)")
-        p.add_argument("--N", help="particle number (overrides --n)")
-        p.add_argument("--n", help="filling; N = round(n*L)")
-        p.add_argument("--U-over-J", dest="U_over_J", help="on-site repulsion over hopping")
-        p.add_argument("--J", help="hopping in recoil units")
-        p.add_argument("--V0", help="lattice depth in recoil units")
-        p.add_argument("--E0", help="probe kinetic energy in recoil units")
-        p.add_argument("--mass-ratio", dest="mass_ratio", help="probe/boson mass ratio")
-        p.add_argument(
-            "--theta-grid",
-            dest="theta_grid",
-            help="angle count on [0, pi/2], or comma-separated angles in radians",
-        )
-        p.add_argument(
-            "--u-grid",
-            dest="u_grid",
-            help="interaction grid: lo:hi:count or comma-separated values",
-        )
-        p.add_argument(
-            "--provenance", help=f"comma list from {{{', '.join(PROVENANCES)}}}"
-        )
-        p.add_argument("--cache-dir", dest="cache_dir", help="spectrum cache directory")
-        p.add_argument("--out", help="output CSV path (manifest goes next to it)")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key, (text, _) in _FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), help=text)
         p.add_argument("--config", help="key=value defaults file")
     return parser
 
@@ -111,127 +155,31 @@ def read_config_file(path) -> dict:
             raise BadParameterError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _KEYS:
+        if key not in _FLAGS:
             raise BadParameterError(f"{path}:{lineno}: unknown key {key!r}")
         table[key] = value.strip()
     return table
 
 
-def _parse_int(name, text) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise BadParameterError(f"--{name} must be an integer, got {text!r}") from exc
-
-
-def _parse_float(name, text) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise BadParameterError(f"--{name} must be a number, got {text!r}") from exc
-
-
-def _parse_L(text) -> tuple:
-    values = tuple(_parse_int("L", piece) for piece in text.split(","))
-    for L in values:
-        if L < 2:
-            raise BadParameterError(f"--L must be at least 2, got {L}")
-    return values
-
-
-def _parse_theta_grid(text):
-    """Integer -> uniform point count; comma floats -> explicit angles."""
-    try:
-        count = int(text)
-    except ValueError:
-        angles = tuple(_parse_float("theta-grid", piece) for piece in text.split(","))
-        return None, angles
-    if count < 2:
-        raise BadParameterError(f"--theta-grid needs at least 2 points, got {count}")
-    return count, None
-
-
-def _parse_u_grid(text) -> tuple:
-    if ":" in text:
-        pieces = text.split(":")
-        if len(pieces) != 3:
-            raise BadParameterError(f"--u-grid range must be lo:hi:count, got {text!r}")
-        lo = _parse_float("u-grid", pieces[0])
-        hi = _parse_float("u-grid", pieces[1])
-        count = _parse_int("u-grid", pieces[2])
-        if count < 1:
-            raise BadParameterError(f"--u-grid count must be positive, got {count}")
-        return tuple(float(v) for v in np.linspace(lo, hi, count))
-    values = tuple(_parse_float("u-grid", piece) for piece in text.split(","))
-    if not values:
-        raise BadParameterError("--u-grid is empty")
-    return values
-
-
-def _parse_provenance(text) -> tuple:
-    values = tuple(piece.strip() for piece in text.split(","))
-    for p in values:
-        if p not in PROVENANCES:
-            raise BadParameterError(
-                f"unknown provenance {p!r}; choose from {', '.join(PROVENANCES)}"
-            )
-    return values
-
-
 def resolve_config(args) -> ScanConfig:
     """Merge flags over config-file values and build the run configuration."""
-    raw = {}
-    if args.config:
-        raw.update(read_config_file(args.config))
-    for key in _KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            raw[key] = flag
+    raw = read_config_file(args.config) if args.config else {}
+    for key in _FLAGS:
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
 
     fields = {"command": args.command}
-    if "L" in raw:
-        fields["L_values"] = _parse_L(raw["L"])
-    L = fields.get("L_values", (5,))[0]
-    if "N" in raw:
-        fields["N"] = _parse_int("N", raw["N"])
-        if fields["N"] < 1:
-            raise BadParameterError(f"--N must be positive, got {fields['N']}")
-        fields["n"] = fields["N"] / L
-    if "n" in raw:
-        n = _parse_float("n", raw["n"])
-        if n <= 0:
-            raise BadParameterError(f"--n must be positive, got {n}")
-        fields["n"] = n
-        if "N" in raw and int(round(n * L)) != fields["N"]:
+    for key, (_, parse) in _FLAGS.items():
+        if key in raw:
+            fields.update(parse(raw[key]))
+    if "N" in fields:
+        L = fields.get("L_values", ScanConfig.L_values)[0]
+        n = fields.setdefault("n", fields["N"] / L)
+        if int(round(n * L)) != fields["N"]:
             raise BadParameterError(
                 f"--N {fields['N']} and --n {n} disagree on L={L} "
                 f"(round(n*L) = {int(round(n * L))})"
             )
-    for key, caster in (
-        ("U_over_J", _parse_float),
-        ("J", _parse_float),
-        ("V0", _parse_float),
-        ("E0", _parse_float),
-        ("mass_ratio", _parse_float),
-    ):
-        if key in raw:
-            fields[key] = caster(key.replace("_", "-"), raw[key])
-    if "U_over_J" in fields and fields["U_over_J"] < 0:
-        raise BadParameterError(f"--U-over-J must be nonnegative, got {fields['U_over_J']}")
-    if "theta_grid" in raw:
-        count, angles = _parse_theta_grid(raw["theta_grid"])
-        if angles is not None:
-            fields["theta_values"] = angles
-        else:
-            fields["theta_points"] = count
-    if "u_grid" in raw:
-        fields["u_grid"] = _parse_u_grid(raw["u_grid"])
-    if "provenance" in raw:
-        fields["provenance"] = _parse_provenance(raw["provenance"])
-    if "cache_dir" in raw:
-        fields["cache_dir"] = raw["cache_dir"]
-    if "out" in raw:
-        fields["out"] = raw["out"]
     return ScanConfig(**fields)
 
 

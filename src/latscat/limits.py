@@ -369,20 +369,27 @@ def exact_angles(
     return ExactAngleSet(angles=angles, s_values=s_kept, window=window)
 
 
-def deviation_delta_cs(exact_fn, bog_fn, angle_grid) -> float:
-    """Angle-averaged relative deviation of bog_fn from exact_fn.
+def relative_deviation(ref, test):
+    """Per-angle |test - ref|/ref and its mean over the kept angles.
 
-    mean over the grid of |bog - exact|/exact, excluding angles where the
-    reference is below 1e-12 of its grid maximum (forward-angle 0/0).
-    Raises when every angle is excluded.
+    Angles where the reference is below 1e-12 of its grid maximum
+    (forward-angle 0/0) read nan and are left out of the mean.  Raises when
+    every angle is excluded.
     """
-    grid = np.asarray(angle_grid, dtype=float)
-    ref = np.array([float(exact_fn(t)) for t in grid])
-    test = np.array([float(bog_fn(t)) for t in grid])
+    ref = np.asarray(ref, dtype=float)
+    test = np.asarray(test, dtype=float)
     floor = DEVIATION_FLOOR_FRACTION * float(np.max(ref, initial=0.0))
     keep = ref >= floor
     if floor <= 0.0 or not np.any(keep):
         raise UndefinedDeviationError(
             "reference cross section vanishes on the whole angle grid"
         )
-    return float(np.mean(np.abs(test[keep] - ref[keep]) / ref[keep]))
+    per_angle = np.full(ref.shape, np.nan)
+    per_angle[keep] = np.abs(test[keep] - ref[keep]) / ref[keep]
+    return per_angle, float(np.mean(per_angle[keep]))
+
+
+def deviation_delta_cs(exact_fn, bog_fn, angle_grid) -> float:
+    """Angle-averaged relative deviation of bog_fn from exact_fn (see relative_deviation)."""
+    grid = np.asarray(angle_grid, dtype=float)
+    return relative_deviation([exact_fn(t) for t in grid], [bog_fn(t) for t in grid])[1]

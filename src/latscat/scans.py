@@ -1,7 +1,10 @@
 """Parameter sweeps, CSV/JSON artifact emission, and the spectrum cache.
 
-Every runner returns a rectangular ScanTable with an explicit provenance
-column plus manifest metadata; the writers emit byte-deterministic CSV
+One runner, `run`, serves every command from the COMMANDS table: an outer
+loop over lattice configurations and an inner loop over probes, with each
+provenance's curve taken from the CURVES registry.  It returns a
+rectangular ScanTable with an explicit provenance column plus manifest
+metadata; the writers emit byte-deterministic CSV
 (17 significant digits) whose first line points at the JSON run manifest.
 Cross-section columns are normalized per particle (1/(N a_s^2)) so curves
 of different provenance can be overlaid directly; elastic columns share
@@ -14,8 +17,9 @@ import math
 import os
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +35,13 @@ from .exact import (
     exact_cross_section,
 )
 from .limits import (
-    deviation_delta_cs,
+    DEVIATION_FLOOR_FRACTION,
     elastic_cs,
     exact_angles,
     largeL_bog_cs,
     largeL_sf_inelastic,
     mi_inelastic,
+    relative_deviation,
     sf_inelastic,
     slope_lambda,
 )
@@ -50,20 +55,21 @@ from .model import (
     kappa_elastic,
 )
 
-PROVENANCES = ("exact", "bogoliubov", "sf-limit", "mi-limit", "largeL", "linear")
-
 DEFAULT_THETA_POINTS = 181
 
 # Probe energies at or above the band gap leave the single-band model;
-# heatmap sweeps are clipped below this.
+# heatmap sweeps are clipped below this.  The sweep starts at the floor, so
+# E0 must lie above it.
 HEATMAP_E0_CAP = 6.0
+HEATMAP_E0_FLOOR = 0.2
 HEATMAP_E0_POINTS = 41
 
 # A slope value is flagged as near-divergent when the Bragg denominator
 # 4 sin^2(kappa_el/2) drops below this.
 SLOPE_FLAG_THRESHOLD = 0.1
 
-_MAX_WORKERS = min(8, os.cpu_count() or 1)
+# deviation-map steps the filling by this much, up to the requested n.
+DEVIATION_FILLING_STEP = 0.2
 
 
 @dataclass(frozen=True)
@@ -271,8 +277,12 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -324,320 +334,348 @@ def _base_manifest(config: ScanConfig) -> RunManifest:
         "mass_ratio": config.mass_ratio,
         "theta_grid": [float(t) for t in config.thetas()],
         "u_grid": [float(u) for u in config.u_grid],
-        "provenance": list(config.provenance or ()),
         "cache_dir": config.cache_dir,
         "normalization": "cross sections per particle, 1/(N a_s^2)",
     }
     return RunManifest(command=config.command, parameters=params)
 
 
-def _require_provenance(config: ScanConfig, allowed, default, manifest: RunManifest):
-    requested = config.provenance or default
-    bad = [p for p in requested if p not in allowed]
-    if bad:
-        raise BadParameterError(
-            f"{config.command} supports provenance {sorted(allowed)}, got {bad}"
-        )
-    manifest.parameters["provenance"] = list(requested)
-    return tuple(requested)
+class Site:
+    """One lattice configuration of a run, the unit of the outer loop.
+
+    It holds the lattice, the leading CSV cells that name it (`label`), the
+    probes of the inner loop and the provenances it reports.  The depletion
+    state, the exact cross sections and each provenance's curve are
+    computed once, and only when first asked for.
+    """
+
+    def __init__(self, config, manifest, kinds, lattice, probes, label=(), u=None, where=""):
+        self.config, self.manifest, self.kinds = config, manifest, kinds
+        self.lattice, self.probes, self.label = lattice, probes, label
+        # interaction u = U n / J of the linear decay law
+        self.u = lattice.U * lattice.n / lattice.J if u is None else u
+        self.where = where  # prefixes a capacity refusal
+        self._curves = {}
+
+    @cached_property
+    def state(self):
+        return solve_depletion(self.lattice)
+
+    @cached_property
+    def exact(self):
+        """Exact cross sections at every probe, from the guarded, cached spectrum."""
+        lat = self.lattice
+        dim = basis_dimension(lat.N, lat.L)
+        if dim > BASIS_CAP:
+            raise CapacityError(
+                f"{self.where}exact provenance needs basis dimension {dim} "
+                f"(N={lat.N}, L={lat.L}) above the cap {BASIS_CAP}"
+            )
+        spectrum = cache_spectrum(lat, self.config.cache_dir, self.manifest)
+        return [exact_cross_section(spectrum, lat, p) for p in self.probes]
+
+    def each(self, fn, *head, tail=()):
+        """fn(*head, E0, theta, V0, mass_ratio, *tail) at every probe."""
+        V0 = self.lattice.V0
+        return [fn(*head, p.E0, p.theta, V0, p.mass_ratio, *tail) for p in self.probes]
+
+    @cached_property
+    def slopes(self):
+        return self.each(slope_lambda, self.lattice.L, tail=(self.lattice.J,))
+
+    @cached_property
+    def deviation(self):
+        """Per-angle deviation of the quasiparticle curve from the exact one, and its mean."""
+        return relative_deviation(self.curve("exact"), self.curve("bogoliubov"))
+
+    def curve(self, provenance):
+        """Inelastic cross section per particle at every probe."""
+        if provenance not in self._curves:
+            self._curves[provenance] = CURVES[provenance](self, self.lattice)
+        return self._curves[provenance]
+
+    @cached_property
+    def exact_elastic(self):
+        return [cs.elastic / self.lattice.N for cs in self.exact]
+
+    @cached_property
+    def shared_elastic(self):
+        N = self.lattice.N
+        return [cs / N for cs in self.each(elastic_cs, self.lattice.L, N)]
+
+    def elastic(self, provenance):
+        """Elastic cross section per particle at every probe: the exact
+        provenance carries its own, every other one shares the closed form."""
+        return self.exact_elastic if provenance == "exact" else self.shared_elastic
 
 
-def _guarded_spectrum(config: ScanConfig, lattice: LatticeSpec, manifest: RunManifest):
-    dim = basis_dimension(lattice.N, lattice.L)
-    if dim > BASIS_CAP:
-        raise CapacityError(
-            f"exact provenance needs basis dimension {dim} "
-            f"(N={lattice.N}, L={lattice.L}) above the cap {BASIS_CAP}"
-        )
-    return cache_spectrum(lattice, config.cache_dir, manifest)
+# Every source of curves: name -> f(site, lattice), the site's inelastic
+# cross section per particle at each of its probes.
+CURVES = {
+    "exact": lambda s, lat: [cs.inelastic / lat.N for cs in s.exact],
+    "bogoliubov": lambda s, lat: [bog_inelastic_cs(s.state, p, lat.V0) for p in s.probes],
+    "sf-limit": lambda s, lat: s.each(sf_inelastic, lat.L, tail=(lat.J,)),
+    "mi-limit": lambda s, lat: s.each(mi_inelastic, lat.L, lat.n, tail=(lat.U,)),
+    "largeL": lambda s, lat: [largeL_bog_cs(s.state, p, lat.V0) for p in s.probes],
+    "linear": lambda s, lat: [sl.gamma_sf - sl.lambda_ * s.u for sl in s.slopes],
+}
+PROVENANCES = tuple(CURVES)
+
+# slope's decay laws Gamma - Lambda u: name -> (L, Lambda, Gamma) at probe i;
+# the L -> infinity reference is reported as L = 0
+_DECAY_LAWS = {
+    "linear": lambda s, i, p: (s.lattice.L, s.slopes[i].lambda_, s.slopes[i].gamma_sf),
+    "largeL": lambda s, i, p: (
+        0,
+        s.slopes[i].large_l_slope,
+        largeL_sf_inelastic(p.E0, p.theta, s.lattice.V0, p.mass_ratio, s.lattice.J),
+    ),
+}
 
 
-def run_theta_scan(config: ScanConfig):
-    """Angle sweep of elastic/inelastic cross sections per provenance."""
-    manifest = _base_manifest(config)
-    kinds = _require_provenance(
-        config,
-        ("exact", "bogoliubov", "sf-limit", "mi-limit", "largeL", "linear"),
-        ("bogoliubov",),
-        manifest,
-    )
-    L, N = config.L, config.particle_number()
-    n = config.filling()
-    U = config.U_over_J * config.J
-    u = U * n / config.J
-    thetas = config.thetas()
-
-    state = None
-    if {"bogoliubov", "largeL"} & set(kinds):
-        state = solve_depletion(config.lattice())
-        manifest.metadata["depletion_fraction"] = state.depletion_fraction
-    spectrum = None
-    if "exact" in kinds:
-        spectrum = _guarded_spectrum(config, config.lattice(), manifest)
-
-    rows = []
-    for theta in thetas:
-        theta = float(theta)
-        probe = ProbeSpec(E0=config.E0, theta=theta, mass_ratio=config.mass_ratio)
-        shared_elastic = elastic_cs(L, N, config.E0, theta, config.V0, config.mass_ratio) / N
-        for kind in kinds:
-            if kind == "exact":
-                cs = exact_cross_section(spectrum, config.lattice(), probe)
-                rows.append([theta, kind, cs.elastic / N, cs.inelastic / N])
-            elif kind == "bogoliubov":
-                rows.append(
-                    [theta, kind, shared_elastic, bog_inelastic_cs(state, probe, config.V0)]
-                )
-            elif kind == "sf-limit":
-                rows.append(
-                    [
-                        theta,
-                        kind,
-                        shared_elastic,
-                        sf_inelastic(L, config.E0, theta, config.V0, config.mass_ratio, config.J),
-                    ]
-                )
-            elif kind == "mi-limit":
-                rows.append(
-                    [
-                        theta,
-                        kind,
-                        shared_elastic,
-                        mi_inelastic(L, n, config.E0, theta, config.V0, config.mass_ratio, U),
-                    ]
-                )
-            elif kind == "largeL":
-                rows.append([theta, kind, shared_elastic, largeL_bog_cs(state, probe, config.V0)])
-            elif kind == "linear":
-                sl = slope_lambda(L, config.E0, theta, config.V0, config.mass_ratio, config.J)
-                rows.append([theta, kind, shared_elastic, sl.gamma_sf - sl.lambda_ * u])
-    table = ScanTable(columns=["theta", "provenance", "elastic", "inelastic"], rows=rows)
-    return table, manifest
+# ----------------------------------------------------------------- layouts
+# Each returns the sites of one command's outer loop.
 
 
-def run_u_scan(config: ScanConfig):
-    """Interaction sweep at fixed angle(s): decay of the inelastic signal."""
-    manifest = _base_manifest(config)
-    kinds = _require_provenance(
-        config, ("exact", "bogoliubov", "linear"), ("exact", "bogoliubov", "linear"), manifest
-    )
-    n = config.filling()
-    thetas = config.thetas() if config.theta_values is not None else np.array([np.pi / 4])
-    manifest.parameters["theta_grid"] = [float(t) for t in thetas]
-
-    slopes = {
-        float(t): slope_lambda(config.L, config.E0, float(t), config.V0, config.mass_ratio, config.J)
+def _probes(config: ScanConfig, thetas, energies=None) -> list:
+    """Every probe energy (by default E0) at every angle."""
+    return [
+        ProbeSpec(E0=e0, theta=float(t), mass_ratio=config.mass_ratio)
+        for e0 in energies or [config.E0]
         for t in thetas
-    }
-
-    rows = []
-    for u in config.u_grid:
-        u = float(u)
-        U = u * config.J / n
-        lattice = config.lattice(U=U)
-        state = solve_depletion(lattice)
-        spectrum = _guarded_spectrum(config, lattice, manifest) if "exact" in kinds else None
-        for theta in thetas:
-            theta = float(theta)
-            probe = ProbeSpec(E0=config.E0, theta=theta, mass_ratio=config.mass_ratio)
-            for kind in kinds:
-                if kind == "exact":
-                    cs = exact_cross_section(spectrum, lattice, probe)
-                    value = cs.inelastic / lattice.N
-                elif kind == "bogoliubov":
-                    value = bog_inelastic_cs(state, probe, config.V0)
-                else:
-                    sl = slopes[theta]
-                    value = sl.gamma_sf - sl.lambda_ * u
-                rows.append([u, theta, kind, value, state.depletion_fraction])
-    table = ScanTable(
-        columns=["u", "theta", "provenance", "inelastic", "depletion"], rows=rows
-    )
-    return table, manifest
+    ]
 
 
-def run_heatmap(config: ScanConfig):
-    """(E0, theta) map of the quasiparticle inelastic cross section."""
-    manifest = _base_manifest(config)
-    _require_provenance(config, ("bogoliubov",), ("bogoliubov",), manifest)
+def _one_lattice(config, kinds, manifest):
+    """theta-scan, compare: the configured lattice over the angle grid."""
+    return [Site(config, manifest, kinds, config.lattice(), _probes(config, config.thetas()))]
+
+
+def _energy_angle_grid(config, kinds, manifest):
+    """heatmap: the configured lattice over an (E0, theta) grid."""
     top = config.E0
+    if top <= HEATMAP_E0_FLOOR:
+        raise BadParameterError(
+            f"heatmap E0 must lie above the grid floor {HEATMAP_E0_FLOOR}, got {top}"
+        )
     if top >= HEATMAP_E0_CAP:
         manifest.warnings.append(
             f"E0 grid capped below {HEATMAP_E0_CAP} (band gap); requested top {top}"
         )
         top = HEATMAP_E0_CAP * (1 - 1e-9)
-    e0_grid = np.linspace(0.2, top, HEATMAP_E0_POINTS)
-    thetas = config.thetas()
-    state = solve_depletion(config.lattice())
-    manifest.metadata["depletion_fraction"] = state.depletion_fraction
-    manifest.parameters["E0_grid"] = [float(e) for e in e0_grid]
+    e0_grid = [float(e) for e in np.linspace(HEATMAP_E0_FLOOR, top, HEATMAP_E0_POINTS)]
+    manifest.parameters["E0_grid"] = e0_grid
+    probes = _probes(config, config.thetas(), e0_grid)
+    return [Site(config, manifest, kinds, config.lattice(), probes)]
 
-    def one_row(e0: float):
-        return [
-            bog_inelastic_cs(
-                state, ProbeSpec(E0=e0, theta=float(t), mass_ratio=config.mass_ratio), config.V0
-            )
-            for t in thetas
-        ]
 
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-        grids = list(pool.map(one_row, [float(e) for e in e0_grid]))
-    rows = [
-        [float(e0), float(t), "bogoliubov", grids[i][k]]
-        for i, e0 in enumerate(e0_grid)
-        for k, t in enumerate(thetas)
+def _u_sites(config, kinds, manifest, probes):
+    n = config.filling()
+    return [
+        Site(config, manifest, kinds, config.lattice(U=u * config.J / n), probes, (u,), u)
+        for u in map(float, config.u_grid)
     ]
-    table = ScanTable(columns=["E0", "theta", "provenance", "inelastic"], rows=rows)
-    return table, manifest
 
 
-def run_deviation_map(config: ScanConfig):
-    """(n, U/J) map of the angle-averaged exact-vs-quasiparticle deviation."""
-    manifest = _base_manifest(config)
-    _require_provenance(config, ("bogoliubov",), ("bogoliubov",), manifest)
-    L = config.L
-    n_grid = [round(0.2 * k, 10) for k in range(1, int(config.n / 0.2 + 1e-9) + 1)]
-    u_over_j_grid = [float(v) for v in config.u_grid]
-    thetas = config.thetas()
-    manifest.parameters["n_grid"] = n_grid
-    manifest.metadata["deviation_floor"] = "1e-12 of grid maximum of the exact curve"
-
-    def one_cell(cell):
-        n, u_over_j = cell
-        N = int(round(n * L))
-        if N < 1:
-            raise BadParameterError(f"cell n={n} realizes N=0 on L={L}")
-        lattice = LatticeSpec(L=L, n=n, U=u_over_j * config.J, J=config.J, V0=config.V0)
-        try:
-            spectrum = _guarded_spectrum(config, lattice, manifest)
-        except CapacityError as exc:
-            raise CapacityError(f"deviation cell n={n}, U/J={u_over_j}: {exc}") from exc
-        state = solve_depletion(lattice)
-
-        def exact_fn(t):
-            probe = ProbeSpec(E0=config.E0, theta=float(t), mass_ratio=config.mass_ratio)
-            return exact_cross_section(spectrum, lattice, probe).inelastic / lattice.N
-
-        def bog_fn(t):
-            probe = ProbeSpec(E0=config.E0, theta=float(t), mass_ratio=config.mass_ratio)
-            return bog_inelastic_cs(state, probe, config.V0)
-
-        delta = deviation_delta_cs(exact_fn, bog_fn, thetas)
-        return [n, u_over_j, "bogoliubov", delta, state.depletion_fraction]
-
-    cells = [(n, u) for n in n_grid for u in u_over_j_grid]
-    with ThreadPoolExecutor(max_workers=_MAX_WORKERS) as pool:
-        rows = list(pool.map(one_cell, cells))
-    table = ScanTable(
-        columns=["n", "U_over_J", "provenance", "delta_cs", "depletion"], rows=rows
-    )
-    return table, manifest
+def _u_points(config, kinds, manifest):
+    """u-scan: one lattice per u on the grid, at theta = pi/4 unless given."""
+    thetas = config.thetas() if config.theta_values is not None else np.array([np.pi / 4])
+    manifest.parameters["theta_grid"] = [float(t) for t in thetas]
+    return _u_sites(config, kinds, manifest, _probes(config, thetas))
 
 
-def run_slope(config: ScanConfig):
-    """Decay-slope curves Lambda(theta) per L, with the L -> infinity reference."""
-    manifest = _base_manifest(config)
-    _require_provenance(config, ("linear", "largeL"), ("linear", "largeL"), manifest)
-    thetas = config.thetas()
+def _depletion_points(config, kinds, manifest):
+    """depletion: one lattice per u on the grid, without probes."""
+    L, N = config.L, config.particle_number()
+    manifest.metadata["alpha_quadratic"] = (L**4 + 10 * L**2 - 11) / (2880.0 * N)
+    return _u_sites(config, kinds, manifest, [])
 
-    rows = []
-    for theta in thetas:
-        theta = float(theta)
-        probe = ProbeSpec(E0=config.E0, theta=theta, mass_ratio=config.mass_ratio)
-        kel = kappa_elastic(probe)
-        flagged = 4 * math.sin(kel / 2) ** 2 < SLOPE_FLAG_THRESHOLD
-        ref = None
-        for L in config.L_values:
-            sl = slope_lambda(L, config.E0, theta, config.V0, config.mass_ratio, config.J)
-            ref = sl
-            rows.append([theta, L, "linear", sl.lambda_, sl.gamma_sf, flagged])
-        large_gamma = largeL_sf_inelastic(
-            config.E0, theta, config.V0, config.mass_ratio, config.J
+
+def _filling_cells(config, kinds, manifest):
+    """deviation-map: one lattice per (n, U/J) cell, n stepped up to the filling."""
+    L, step = config.L, DEVIATION_FILLING_STEP
+    n_grid = [round(step * k, 10) for k in range(1, int(config.n / step + 1e-9) + 1)]
+    if not n_grid:
+        raise BadParameterError(
+            f"deviation-map steps the filling by {step}; --n must reach it, got {config.n}"
         )
-        rows.append([theta, 0, "largeL", ref.large_l_slope, large_gamma, flagged])
+    manifest.parameters["n_grid"] = n_grid
+    manifest.metadata["deviation_floor"] = (
+        f"{DEVIATION_FLOOR_FRACTION:g} of grid maximum of the exact curve"
+    )
+    probes = _probes(config, config.thetas())
+    sites = []
+    for n in n_grid:
+        if int(round(n * L)) < 1:
+            raise BadParameterError(f"cell n={n} realizes N=0 on L={L}")
+        for u_over_j in map(float, config.u_grid):
+            lattice = LatticeSpec(L=L, n=n, U=u_over_j * config.J, J=config.J, V0=config.V0)
+            where = f"deviation cell n={n}, U/J={u_over_j}: "
+            sites.append(Site(config, manifest, kinds, lattice, probes, (n, u_over_j), where=where))
+    return sites
+
+
+def _lattice_sizes(config, kinds, manifest):
+    """slope: one chain per L; the last also carries the L -> infinity reference."""
     markers = {}
     for j in range(4):
         aset = exact_angles(config.L_values[-1], config.E0, config.mass_ratio, j)
         if aset.angles.size:
             markers[str(j)] = [float(a) for a in aset.angles]
     manifest.metadata["marker_angles"] = markers
-    table = ScanTable(
-        columns=["theta", "L", "provenance", "lambda", "gamma_sf", "flagged"], rows=rows
-    )
-    return table, manifest
-
-
-def run_compare(config: ScanConfig):
-    """Exact vs quasiparticle inelastic curves with per-angle deviation."""
-    manifest = _base_manifest(config)
-    _require_provenance(config, ("exact", "bogoliubov"), ("exact", "bogoliubov"), manifest)
-    lattice = config.lattice()
-    N = lattice.N
-    spectrum = _guarded_spectrum(config, lattice, manifest)
-    state = solve_depletion(lattice)
-    manifest.metadata["depletion_fraction"] = state.depletion_fraction
-    thetas = config.thetas()
-
-    exact_by_theta, bog_by_theta, elastic_by_theta = {}, {}, {}
-    for theta in map(float, thetas):
-        probe = ProbeSpec(E0=config.E0, theta=theta, mass_ratio=config.mass_ratio)
-        cs = exact_cross_section(spectrum, lattice, probe)
-        exact_by_theta[theta] = cs.inelastic / N
-        elastic_by_theta[theta] = cs.elastic / N
-        bog_by_theta[theta] = bog_inelastic_cs(state, probe, config.V0)
-    floor = 1e-12 * max(exact_by_theta.values(), default=0.0)
-
-    rows = []
-    for theta in map(float, thetas):
-        ex, bog = exact_by_theta[theta], bog_by_theta[theta]
-        dev = abs(bog - ex) / ex if floor > 0 and ex >= floor else float("nan")
-        rows.append([theta, "exact", elastic_by_theta[theta], ex, 0.0])
-        rows.append([theta, "bogoliubov", elastic_by_theta[theta], bog, dev])
-    manifest.metadata["delta_cs"] = deviation_delta_cs(
-        exact_by_theta.__getitem__, bog_by_theta.__getitem__, [float(t) for t in thetas]
-    )
-    table = ScanTable(
-        columns=["theta", "provenance", "elastic", "inelastic", "deviation"], rows=rows
-    )
-    return table, manifest
-
-
-def run_depletion(config: ScanConfig):
-    """Condensate depletion versus interaction, with the quadratic law."""
-    manifest = _base_manifest(config)
-    _require_provenance(config, ("bogoliubov",), ("bogoliubov",), manifest)
-    n = config.filling()
-    rows = []
-    for u in config.u_grid:
-        u = float(u)
-        lattice = config.lattice(U=u * config.J / n)
-        state = solve_depletion(lattice)
-        rows.append(
-            [
-                u,
-                "bogoliubov",
-                state.depletion_fraction,
-                depletion_quadratic(lattice),
-                state.healing_ok,
-            ]
+    probes = _probes(config, config.thetas())
+    finite = tuple(k for k in kinds if k != "largeL")
+    last = len(config.L_values) - 1
+    # the decay laws read only the chain length and the couplings
+    return [
+        Site(
+            config, manifest, kinds if j == last else finite,
+            LatticeSpec(L=L, n=1.0, J=config.J, V0=config.V0), probes,
         )
-    alpha = (config.L**4 + 10 * config.L**2 - 11) / (2880.0 * config.particle_number())
-    manifest.metadata["alpha_quadratic"] = alpha
-    table = ScanTable(
-        columns=["u", "provenance", "depletion", "quadratic", "healing_ok"], rows=rows
-    )
-    return table, manifest
+        for j, L in enumerate(config.L_values)
+    ]
 
 
-_RUNNERS = {
-    "theta-scan": run_theta_scan,
-    "u-scan": run_u_scan,
-    "heatmap": run_heatmap,
-    "deviation-map": run_deviation_map,
-    "slope": run_slope,
-    "compare": run_compare,
-    "depletion": run_depletion,
+# ---------------------------------------------------------------- commands
+
+
+def _slope_row(s, provenance, i):
+    p = s.probes[i]
+    L, lam, gamma = _DECAY_LAWS[provenance](s, i, p)
+    flagged = 4 * math.sin(kappa_elastic(p) / 2) ** 2 < SLOPE_FLAG_THRESHOLD
+    return [p.theta, L, provenance, lam, gamma, flagged]
+
+
+def _compare_row(s, provenance, i):
+    # the exact curve is the reference: its own deviation reads 0
+    deviation = 0.0 if provenance == "exact" else s.deviation[0][i]
+    return [s.probes[i].theta, provenance, s.exact_elastic[i], s.curve(provenance)[i], deviation]
+
+
+def _report(site, manifest):
+    """Record the depletion and the mean deviation the site computed, if it did."""
+    computed = vars(site)
+    if "state" in computed:
+        manifest.metadata["depletion_fraction"] = computed["state"].depletion_fraction
+    if "deviation" in computed:
+        manifest.metadata["delta_cs"] = computed["deviation"][1]
+
+
+@dataclass(frozen=True)
+class Command:
+    """One scan command: its provenances, its CSV columns and its loops.
+
+    `layout(config, provenances, manifest)` returns the sites of the outer
+    loop.  `row(site, provenance, i)` builds the CSV row at probe i; a table
+    without a theta column has one row per site and provenance (i is None).
+    A table that leads with theta groups its rows by angle across sites.
+    A run over the single configured lattice reports it in the manifest.
+    """
+
+    help: str
+    allowed: tuple
+    columns: tuple
+    layout: Callable
+    row: Callable
+    default: tuple | None = None  # None: every allowed provenance
+    single_lattice: bool = False
+    several_L: bool = False
+
+
+COMMANDS = {
+    "theta-scan": Command(
+        "angle sweep of elastic/inelastic cross sections",
+        PROVENANCES,
+        ("theta", "provenance", "elastic", "inelastic"),
+        _one_lattice,
+        lambda s, p, i: [s.probes[i].theta, p, s.elastic(p)[i], s.curve(p)[i]],
+        default=("bogoliubov",),
+        single_lattice=True,
+    ),
+    "u-scan": Command(
+        "interaction sweep of the inelastic cross section at fixed angle",
+        ("exact", "bogoliubov", "linear"),
+        ("u", "theta", "provenance", "inelastic", "depletion"),
+        _u_points,
+        lambda s, p, i: [
+            *s.label, s.probes[i].theta, p, s.curve(p)[i], s.state.depletion_fraction
+        ],
+    ),
+    "heatmap": Command(
+        "(E0, theta) map of the quasiparticle inelastic cross section",
+        ("bogoliubov",),
+        ("E0", "theta", "provenance", "inelastic"),
+        _energy_angle_grid,
+        lambda s, p, i: [s.probes[i].E0, s.probes[i].theta, p, s.curve(p)[i]],
+        single_lattice=True,
+    ),
+    "depletion": Command(
+        "condensate depletion vs interaction with the quadratic law",
+        ("bogoliubov",),
+        ("u", "provenance", "depletion", "quadratic", "healing_ok"),
+        _depletion_points,
+        lambda s, p, i: [
+            *s.label, p, s.state.depletion_fraction,
+            depletion_quadratic(s.lattice), s.state.healing_ok,
+        ],
+    ),
+    "deviation-map": Command(
+        "(n, U/J) map of the angle-averaged exact-vs-quasiparticle deviation",
+        ("bogoliubov",),
+        ("n", "U_over_J", "provenance", "delta_cs", "depletion"),
+        _filling_cells,
+        lambda s, p, i: [*s.label, p, s.deviation[1], s.state.depletion_fraction],
+    ),
+    "slope": Command(
+        "linear decay slope Lambda(theta) per L with the large-L reference",
+        ("linear", "largeL"),
+        ("theta", "L", "provenance", "lambda", "gamma_sf", "flagged"),
+        _lattice_sizes,
+        _slope_row,
+        several_L=True,
+    ),
+    "compare": Command(
+        "exact vs quasiparticle curves with per-angle deviation",
+        ("exact", "bogoliubov"),
+        ("theta", "provenance", "elastic", "inelastic", "deviation"),
+        _one_lattice,
+        _compare_row,
+        single_lattice=True,
+    ),
 }
+
+
+def run(config: ScanConfig):
+    """Run one command in memory; returns (ScanTable, RunManifest).
+
+    The outer loop walks the command's sites, the inner loop each site's
+    probes, and each step yields a row per provenance of the site.
+    """
+    command = COMMANDS.get(config.command)
+    if command is None:
+        raise BadParameterError(f"unknown command {config.command!r}")
+    if not command.several_L and len(config.L_values) != 1:
+        raise BadParameterError(
+            f"{config.command} takes a single L, got {list(config.L_values)}"
+        )
+    manifest = _base_manifest(config)
+    kinds = tuple(config.provenance or command.default or command.allowed)
+    bad = [p for p in kinds if p not in command.allowed]
+    if bad:
+        raise BadParameterError(
+            f"{config.command} supports provenance {sorted(command.allowed)}, got {bad}"
+        )
+    manifest.parameters["provenance"] = list(kinds)
+
+    sites = command.layout(config, kinds, manifest)
+    per_angle = "theta" in command.columns
+    steps = [(s, i) for s in sites for i in (range(len(s.probes)) if per_angle else (None,))]
+    if command.columns[0] == "theta":
+        steps.sort(key=lambda step: step[1])  # stable: by angle, then site
+    rows = [command.row(site, kind, i) for site, i in steps for kind in site.kinds]
+    if command.single_lattice:
+        _report(sites[0], manifest)
+    return ScanTable(columns=list(command.columns), rows=rows), manifest
 
 
 def execute(config: ScanConfig):
@@ -646,14 +684,8 @@ def execute(config: ScanConfig):
     Returns (csv_path, manifest). The CSV is byte-deterministic for a given
     config; the manifest carries wall time and cache statistics.
     """
-    if config.command not in _RUNNERS:
-        raise BadParameterError(f"unknown command {config.command!r}")
-    if config.command != "slope" and len(config.L_values) != 1:
-        raise BadParameterError(
-            f"{config.command} takes a single L, got {list(config.L_values)}"
-        )
     start = time.perf_counter()
-    table, manifest = _RUNNERS[config.command](config)
+    table, manifest = run(config)
     manifest.wall_time_s = time.perf_counter() - start
     csv_path, manifest_path = output_paths(config)
     manifest.outputs = [str(csv_path)]

@@ -293,3 +293,30 @@ def test_deviation_map_depletion_column_is_monotone_in_U(tmp_path):
     rows = [r for r in read_rows(out) if float(r["n"]) == 0.4]
     depletions = [float(r["depletion"]) for r in rows]
     assert depletions == sorted(depletions)
+
+
+@pytest.mark.parametrize("E0", ["0.1", "0.2"])
+def test_exit_2_heatmap_E0_at_or_below_grid_floor(tmp_path, capsys, E0):
+    code, out, _ = run_cli(tmp_path, "heatmap", "--L", "10", "--n", "1", "--E0", E0)
+    assert code == 2
+    assert "0.2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_2_deviation_map_filling_below_first_step(tmp_path, capsys):
+    code, out, _ = run_cli(
+        tmp_path, "deviation-map", "--L", "4", "--n", "0.1", "--u-grid", "1"
+    )
+    assert code == 2
+    assert "0.2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_explicit_angles_need_the_equals_form(tmp_path):
+    code, out, manifest = run_cli(
+        tmp_path, "theta-scan", "--L", "4", "--n", "1", "--theta-grid=-0.5,0.5"
+    )
+    assert code == 0
+    assert manifest["parameters"]["theta_grid"] == [-0.5, 0.5]
+    inelastic = [float(r["inelastic"]) for r in read_rows(out)]
+    assert inelastic[0] == pytest.approx(inelastic[1], rel=1e-12)

@@ -1,6 +1,8 @@
 """Tests for the sweep runners, artifact writers, and the spectrum cache."""
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -21,13 +23,7 @@ from latscat.scans import (
     format_cell,
     load_spectrum,
     output_paths,
-    run_compare,
-    run_depletion,
-    run_deviation_map,
-    run_heatmap,
-    run_slope,
-    run_theta_scan,
-    run_u_scan,
+    run,
     save_spectrum,
     write_csv,
 )
@@ -178,7 +174,7 @@ def test_cache_spectrum_counts_hits(tmp_path):
 
 def test_theta_scan_covers_full_quadrant():
     cfg = ScanConfig(command="theta-scan", L_values=(5,), n=1.0, theta_points=9)
-    table, _ = run_theta_scan(cfg)
+    table, _ = run(cfg)
     thetas = sorted(set(table.column("theta")))
     assert thetas[0] == 0.0
     assert thetas[-1] == pytest.approx(np.pi / 2, abs=0)
@@ -196,7 +192,7 @@ def test_theta_scan_sf_and_mi_share_elastic_column():
         theta_points=21,
         provenance=("sf-limit", "mi-limit"),
     )
-    table, _ = run_theta_scan(cfg)
+    table, _ = run(cfg)
     sf = [r for r in table.rows if r[1] == "sf-limit"]
     mi = [r for r in table.rows if r[1] == "mi-limit"]
     assert len(sf) == len(mi) == 21
@@ -213,7 +209,7 @@ def test_theta_scan_forward_inelastic_vanishes_for_all_provenances():
         theta_points=3,
         provenance=("exact", "bogoliubov", "sf-limit", "mi-limit", "largeL", "linear"),
     )
-    table, _ = run_theta_scan(cfg)
+    table, _ = run(cfg)
     for row in table.rows:
         if row[0] == 0.0:
             assert row[3] == 0.0
@@ -224,7 +220,7 @@ def test_theta_scan_bog_rows_match_direct_evaluation():
         command="theta-scan", L_values=(5,), n=2.0, U_over_J=3.0,
         theta_points=7, provenance=("bogoliubov",),
     )
-    table, manifest = run_theta_scan(cfg)
+    table, manifest = run(cfg)
     state = solve_depletion(cfg.lattice())
     for row in table.rows:
         probe = ProbeSpec(E0=cfg.E0, theta=row[0])
@@ -237,7 +233,7 @@ def test_u_scan_interaction_free_rows_agree():
         command="u-scan", L_values=(5,), n=1.0,
         u_grid=(0.0, 1.0), theta_values=(np.pi / 4,),
     )
-    table, _ = run_u_scan(cfg)
+    table, _ = run(cfg)
     at_zero = {r[2]: r[3] for r in table.rows if r[0] == 0.0}
     assert_allclose(at_zero["exact"], at_zero["bogoliubov"], rtol=1e-12)
     assert_allclose(at_zero["linear"], at_zero["bogoliubov"], rtol=1e-12)
@@ -250,7 +246,7 @@ def test_u_scan_linear_rows_follow_the_line():
         command="u-scan", L_values=(5,), n=2.0,
         u_grid=(0.5, 2.0), theta_values=(theta,), provenance=("linear",),
     )
-    table, _ = run_u_scan(cfg)
+    table, _ = run(cfg)
     sl = slope_lambda(5, cfg.E0, theta, cfg.V0, cfg.mass_ratio, cfg.J)
     for row in table.rows:
         assert row[3] == pytest.approx(sl.gamma_sf - sl.lambda_ * row[0], rel=1e-12)
@@ -261,27 +257,27 @@ def test_u_scan_depletion_column_tracks_solver():
         command="u-scan", L_values=(4,), n=1.0,
         u_grid=(2.0,), theta_values=(0.7,), provenance=("bogoliubov",),
     )
-    table, _ = run_u_scan(cfg)
+    table, _ = run(cfg)
     state = solve_depletion(LatticeSpec(L=4, n=1.0, U=2.0 * cfg.J, J=cfg.J))
     assert table.rows[0][4] == state.depletion_fraction
 
 
 def test_heatmap_caps_probe_energy_grid():
     cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, E0=9.0, theta_points=3)
-    table, manifest = run_heatmap(cfg)
+    table, manifest = run(cfg)
     assert any("capped" in w for w in manifest.warnings)
     assert max(table.column("E0")) < 6.0
 
 
 def test_heatmap_quiet_within_band():
     cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, E0=2.0, theta_points=3)
-    _, manifest = run_heatmap(cfg)
+    _, manifest = run(cfg)
     assert manifest.warnings == []
 
 
 def test_heatmap_forward_column_is_zero():
     cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, theta_points=3)
-    table, _ = run_heatmap(cfg)
+    table, _ = run(cfg)
     for row in table.rows:
         if row[1] == 0.0:
             assert row[3] == 0.0
@@ -292,14 +288,14 @@ def test_heatmap_reference_depletion_metadata():
     cfg = ScanConfig(
         command="heatmap", L_values=(100,), n=1.0, U_over_J=0.02, theta_points=3
     )
-    _, manifest = run_heatmap(cfg)
+    _, manifest = run(cfg)
     assert manifest.metadata["depletion_fraction"] == pytest.approx(0.012, abs=1.5e-3)
 
 
 def test_heatmap_rejects_exact_provenance():
     cfg = ScanConfig(command="heatmap", L_values=(5,), provenance=("exact",))
     with pytest.raises(BadParameterError):
-        run_heatmap(cfg)
+        run(cfg)
 
 
 def test_deviation_map_improves_with_filling():
@@ -307,7 +303,7 @@ def test_deviation_map_improves_with_filling():
         command="deviation-map", L_values=(4,), n=1.0,
         u_grid=(1.0, 5.0), theta_points=31,
     )
-    table, _ = run_deviation_map(cfg)
+    table, _ = run(cfg)
     at_u1 = {r[0]: r[3] for r in table.rows if r[1] == 1.0}
     assert at_u1[1.0] < at_u1[0.2]
     # inset behavior: depletion grows with interaction at fixed filling
@@ -318,14 +314,14 @@ def test_deviation_map_improves_with_filling():
 def test_deviation_map_names_failing_cell():
     cfg = ScanConfig(command="deviation-map", L_values=(30,), n=1.0, u_grid=(1.0,))
     with pytest.raises(CapacityError, match="cell n=0.2"):
-        run_deviation_map(cfg)
+        run(cfg)
 
 
 def test_slope_emits_reference_rows_and_markers():
     cfg = ScanConfig(
         command="slope", L_values=(5, 9), E0=2.0, theta_values=(0.01, 0.7)
     )
-    table, manifest = run_slope(cfg)
+    table, manifest = run(cfg)
     assert len(table.rows) == 2 * 3  # two angles x (two L + one reference)
     reference = [r for r in table.rows if r[2] == "largeL"]
     assert all(r[1] == 0 for r in reference)
@@ -342,7 +338,7 @@ def test_slope_emits_reference_rows_and_markers():
 
 def test_slope_reference_diverges_at_forward_angle():
     cfg = ScanConfig(command="slope", L_values=(5,), theta_values=(0.0,))
-    table, _ = run_slope(cfg)
+    table, _ = run(cfg)
     ref = [r for r in table.rows if r[2] == "largeL"][0]
     assert math.isinf(ref[3])
     assert ref[5] is True
@@ -352,7 +348,7 @@ def test_compare_reports_per_angle_deviation():
     cfg = ScanConfig(
         command="compare", L_values=(5,), N=5, U_over_J=1.0, theta_points=9
     )
-    table, manifest = run_compare(cfg)
+    table, manifest = run(cfg)
     assert len(table.rows) == 18
     for i in range(0, 18, 2):
         assert table.rows[i][1] == "exact"
@@ -370,7 +366,7 @@ def test_depletion_runner_columns():
     cfg = ScanConfig(
         command="depletion", L_values=(5,), n=2.0, u_grid=(0.1, 1.0, 60.0)
     )
-    table, manifest = run_depletion(cfg)
+    table, manifest = run(cfg)
     alpha = (5**4 + 10 * 5**2 - 11) / (2880.0 * 10)
     assert manifest.metadata["alpha_quadratic"] == pytest.approx(alpha, rel=1e-12)
     for row in table.rows:
@@ -429,3 +425,20 @@ def test_execute_unknown_command(tmp_path):
     cfg = ScanConfig(command="mystery", out=str(tmp_path / "x.csv"))
     with pytest.raises(BadParameterError):
         execute(cfg)
+
+
+def test_artifacts_honour_the_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "run.csv"
+        cfg = ScanConfig(
+            command="u-scan", L_values=(4,), n=1.0, u_grid=(0.5,),
+            theta_values=(0.7,), cache_dir=str(tmp_path / "cache"), out=str(out),
+        )
+        execute(cfg)
+    finally:
+        os.umask(old)
+    written = [out, tmp_path / "run.manifest.json", *(tmp_path / "cache").iterdir()]
+    assert len(written) == 3
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
