@@ -277,7 +277,7 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    umask = os.umask(0)
+    umask = os.umask(0)  # the only way to read the umask is to set it
     os.umask(umask)
     try:
         with os.fdopen(fd, "wb") as fh:

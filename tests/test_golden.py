@@ -58,29 +58,25 @@ CACHE_COUNTS = {"theta_all_provenances": (1, 0), "compare_cached": (0, 1)}
 def run_case(argv, out, cache_dir):
     argv = [str(cache_dir) if a == "CACHE" else a for a in argv]
     assert main([*argv, "--out", str(out)]) == 0
-    return out.read_bytes()
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def runs(tmp_path_factory):
     """Run every case once, in order, sharing one cache directory."""
     root = tmp_path_factory.mktemp("golden")
-    return {
-        name: run_case(argv, root / f"{name}.csv", root / "cache")
-        for name, argv in CASES
-    } | {"root": root}
+    for name, argv in CASES:
+        run_case(argv, root / f"{name}.csv", root / "cache")
+    return root
 
 
 @pytest.mark.parametrize("name", [name for name, _ in CASES])
-def test_csv_matches_golden(outputs, name):
-    got = outputs[name].split(b"\n", 1)
-    want = (GOLDEN / f"{name}.csv").read_bytes()
-    assert got[0].startswith(b"# manifest: ")
-    assert got[1] == want
+def test_csv_matches_golden(runs, name):
+    pointer, body = (runs / f"{name}.csv").read_bytes().split(b"\n", 1)
+    assert pointer.startswith(b"# manifest: ")
+    assert body == (GOLDEN / f"{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CACHE_COUNTS))
-def test_cache_miss_then_hit(outputs, name):
-    manifest = json.loads((outputs["root"] / f"{name}.manifest.json").read_text())
-    cache = manifest["cache"]
+def test_cache_miss_then_hit(runs, name):
+    cache = json.loads((runs / f"{name}.manifest.json").read_text())["cache"]
     assert (cache["misses"], cache["hits"]) == CACHE_COUNTS[name]

@@ -442,3 +442,17 @@ def test_artifacts_honour_the_umask(tmp_path):
     assert len(written) == 3
     for path in written:
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path
+
+
+def test_rows_follow_the_requested_provenances():
+    cfg = ScanConfig(
+        command="compare", L_values=(4,), N=4, U_over_J=1.0, theta_points=3,
+        provenance=("bogoliubov",),
+    )
+    table, manifest = run(cfg)
+    assert set(table.column("provenance")) == {"bogoliubov"}
+    assert manifest.parameters["provenance"] == ["bogoliubov"]
+    cfg = ScanConfig(command="slope", L_values=(5, 9), theta_points=3, provenance=("linear",))
+    table, _ = run(cfg)
+    assert set(table.column("provenance")) == {"linear"}
+    assert len(table.rows) == 3 * 2
