@@ -6,7 +6,8 @@ The condensate fraction is found self-consistently from
 
 after which the quasiparticle dispersion omega_q feeds the analytic
 inelastic cross section (one-quasiparticle channel) and the two-
-quasiparticle diagnostic term.
+quasiparticle diagnostic term, both summed over open channels by
+model.open_channel_sum.  Non-finite parameters are refused.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from .model import (
     ProbeSpec,
     bloch_dispersion,
     form_factor,
-    is_reciprocal,
     kappa_elastic,
     lattice_sum_sq,
+    open_channel_sum,
     quasimomentum_grid,
 )
 
@@ -52,6 +53,11 @@ class BogoliubovState:
         return self.lattice.U * self.n0
 
 
+def _quasiparticle_energy(eps, Un0):
+    """omega_q from the Bloch energy eps_q; see bogoliubov_dispersion."""
+    return eps * np.sqrt(1.0 + 2.0 * Un0 / eps)
+
+
 def bogoliubov_dispersion(q, J: float, Un0: float):
     """Quasiparticle energy omega_q = sqrt(eps_q (eps_q + 2 U n0)).
 
@@ -63,8 +69,7 @@ def bogoliubov_dispersion(q, J: float, Un0: float):
         raise BadParameterError(f"U n0 must be non-negative, got {Un0}")
     if np.any(np.abs(np.sin(np.asarray(q, dtype=float) / 2.0)) < RECIPROCAL_TOL):
         raise BadParameterError("q = 0 (mod 2*pi) is the condensate mode, not a quasiparticle")
-    eps = bloch_dispersion(q, J)
-    return eps * np.sqrt(1.0 + 2.0 * Un0 / eps)
+    return _quasiparticle_energy(bloch_dispersion(q, J), Un0)
 
 
 def chemical_potential(U: float, n0: float, J: float) -> float:
@@ -90,9 +95,7 @@ def validity_check(lattice: LatticeSpec, n0: float):
 
 def _depleted_filling(n0: float, U: float, eps: np.ndarray, L: int) -> float:
     """Total filling n(n0) implied by a trial condensate filling."""
-    if U * n0 == 0.0:
-        return n0
-    omega = eps * np.sqrt(1.0 + 2.0 * U * n0 / eps)
+    omega = _quasiparticle_energy(eps, U * n0)
     return n0 + float(np.sum((eps + U * n0) / (2.0 * omega) - 0.5)) / L
 
 
@@ -100,8 +103,9 @@ def solve_depletion(lattice: LatticeSpec) -> BogoliubovState:
     """Self-consistent condensate filling by bisection on n0 in (0, n].
 
     The depleted filling is strictly increasing in n0, so the bracket
-    (1e-15 n, n] always contains the root; U = 0 short-circuits to n0 = n.
-    The result is verified to reproduce n to 1e-12 relative.
+    (1e-15 n, n] always contains the root; U = 0 short-circuits to n0 = n,
+    which reproduces n exactly.  The bisection result is verified to
+    reproduce n to 1e-12 relative.
     """
     L, n, U, J = lattice.L, lattice.n, lattice.U, lattice.J
     grid = quasimomentum_grid(L)
@@ -128,15 +132,14 @@ def solve_depletion(lattice: LatticeSpec) -> BogoliubovState:
                 lo = mid
         n0 = hi  # the side guaranteed to satisfy f >= 0 keeps n0 <= its root
 
-    residual = abs(_depleted_filling(n0, U, eps, L) - n)
-    if residual > DEPLETION_RESIDUAL_TOL * n:
-        raise ConvergenceError(
-            f"depletion solve left residual {residual:.3e} "
-            f"(tolerance {DEPLETION_RESIDUAL_TOL * n:.3e})"
-        )
+        residual = abs(_depleted_filling(n0, U, eps, L) - n)
+        if residual > DEPLETION_RESIDUAL_TOL * n:
+            raise ConvergenceError(
+                f"depletion solve left residual {residual:.3e} "
+                f"(tolerance {DEPLETION_RESIDUAL_TOL * n:.3e})"
+            )
 
-    Un0 = U * n0
-    omega = eps if Un0 == 0.0 else eps * np.sqrt(1.0 + 2.0 * Un0 / eps)
+    omega = _quasiparticle_energy(eps, U * n0)
     ok, _ = validity_check(lattice, n0)
     return BogoliubovState(
         lattice=lattice,
@@ -169,26 +172,20 @@ def bog_inelastic_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> flo
     zero when kappa_el sits on a reciprocal lattice vector.
     """
     lattice = state.lattice
-    kel = kappa_elastic(probe)
-    if is_reciprocal(kel):
-        return 0.0
     grid = quasimomentum_grid(lattice.L)
     eps = bloch_dispersion(grid, lattice.J)
     omega = state.omega_table
-    open_mask = omega < probe.E0
-    if not np.any(open_mask):
-        return 0.0
-    eps, omega, q = eps[open_mask], omega[open_mask], grid[open_mask]
-    weight = 1.0 - omega / probe.E0
-    kq = kel * np.sqrt(weight)
-    contrib = (
-        np.sqrt(weight)
-        * (state.n0 / lattice.n)
-        * (eps / omega)
-        * lattice_sum_sq(kq - q, lattice.L)
-        * form_factor(kq, V0) ** 2
-    )
-    return float(np.sum(contrib)) / lattice.L**2
+
+    def summand(open_, root, kq):
+        return (
+            root
+            * (state.n0 / lattice.n)
+            * (eps[open_] / omega[open_])
+            * lattice_sum_sq(kq - grid[open_], lattice.L)
+            * form_factor(kq, V0) ** 2
+        )
+
+    return open_channel_sum(kappa_elastic(probe), probe.E0, omega, summand) / lattice.L**2
 
 
 def pair_coupling(eps_q, eps_p, Un0: float, same_mode):
@@ -197,8 +194,8 @@ def pair_coupling(eps_q, eps_p, Un0: float, same_mode):
     f = [eps_q eps_p + U n0 (eps_q + eps_p) + 2 (U n0)^2 - omega_q omega_p]
         / [(1 + delta_{q,p}) omega_q omega_p]
     """
-    omega_q = eps_q * np.sqrt(1.0 + 2.0 * Un0 / eps_q) if Un0 else eps_q
-    omega_p = eps_p * np.sqrt(1.0 + 2.0 * Un0 / eps_p) if Un0 else eps_p
+    omega_q = _quasiparticle_energy(eps_q, Un0)
+    omega_p = _quasiparticle_energy(eps_p, Un0)
     numer = eps_q * eps_p + Un0 * (eps_q + eps_p) + 2.0 * Un0**2 - omega_q * omega_p
     return numer / ((1.0 + np.asarray(same_mode, dtype=float)) * omega_q * omega_p)
 
@@ -213,29 +210,18 @@ def two_qp_contribution(state: BogoliubovState, probe: ProbeSpec, V0: float) -> 
     This stays of order one while the one-quasiparticle channel scales with
     N, which is why it is reported separately and never added to totals.
     """
-    lattice = state.lattice
-    kel = kappa_elastic(probe)
-    if is_reciprocal(kel):
-        return 0.0
-    L = lattice.L
+    L = state.lattice.L
     grid = quasimomentum_grid(L)
-    eps = bloch_dispersion(grid, lattice.J)
+    eps = bloch_dispersion(grid, state.lattice.J)
     omega = state.omega_table
 
-    eq = eps[:, None]
-    ep = eps[None, :]
-    osum = omega[:, None] + omega[None, :]
-    open_mask = osum < probe.E0
-    if not np.any(open_mask):
-        return 0.0
-    weight = np.where(open_mask, 1.0 - osum / probe.E0, 0.0)
-    kpair = kel * np.sqrt(weight)
-    qsum = grid[:, None] + grid[None, :]
+    osum = (omega[:, None] + omega[None, :]).ravel()
+    qsum = (grid[:, None] + grid[None, :]).ravel()
     same = np.eye(L - 1, dtype=bool)
-    f = pair_coupling(eq, ep, state.Un0, same)
-    contrib = np.where(
-        open_mask,
-        np.sqrt(weight) * f * lattice_sum_sq(kpair - qsum, L) * form_factor(kpair, V0) ** 2,
-        0.0,
-    )
-    return float(np.sum(contrib)) / (2.0 * L**2)
+    f = pair_coupling(eps[:, None], eps[None, :], state.Un0, same).ravel()
+
+    def summand(open_, root, kpair):
+        sig2 = lattice_sum_sq(kpair - qsum[open_], L)
+        return root * f[open_] * sig2 * form_factor(kpair, V0) ** 2
+
+    return open_channel_sum(kappa_elastic(probe), probe.E0, osum, summand) / (2.0 * L**2)

@@ -7,7 +7,8 @@ Builds the fixed-N Fock basis, the dense Hamiltonian
 its full spectrum, and the many-body cross section assembled from the
 density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
-every energy difference.
+every energy difference.  Like every open-channel sum, the inelastic one
+goes through model.open_channel_sum; non-finite parameters are refused.
 """
 from __future__ import annotations
 
@@ -27,8 +28,8 @@ from .model import (
     LatticeSpec,
     ProbeSpec,
     form_factor,
-    is_reciprocal,
     kappa_elastic,
+    open_channel_sum,
 )
 
 # Refuse basis sizes past this point: the dense solver needs all
@@ -276,18 +277,13 @@ def exact_cross_section(
     elastic = float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2)
 
     dE = spectrum.eigenvalues - spectrum.ground_energy
-    open_mask = dE < probe.E0
-    open_mask[spectrum.ground_index] = False
-    contributing = int(np.count_nonzero(open_mask))
+    dE[spectrum.ground_index] = np.inf  # the ground state is not a channel
+    contributing = int(np.count_nonzero(dE < probe.E0))
 
-    if is_reciprocal(kel) or contributing == 0:
-        return ExactCrossSection(probe.theta, elastic, 0.0, contributing)
+    def summand(open_, root, kappa_e):
+        phases = np.exp(1j * np.outer(kappa_e, x))
+        amps = np.einsum("ej,ej->e", phases, table[open_])
+        return root * form_factor(kappa_e, lattice.V0) ** 2 * np.abs(amps) ** 2
 
-    weights = 1.0 - dE[open_mask] / probe.E0
-    kappa_e = kel * np.sqrt(weights)
-    phases = np.exp(1j * np.outer(kappa_e, x))
-    amps = np.einsum("ej,ej->e", phases, table[open_mask])
-    inelastic = float(
-        np.sum(np.sqrt(weights) * form_factor(kappa_e, lattice.V0) ** 2 * np.abs(amps) ** 2)
-    )
+    inelastic = open_channel_sum(kel, probe.E0, dE, summand)
     return ExactCrossSection(probe.theta, elastic, inelastic, contributing)

@@ -31,6 +31,7 @@ from .model import (
     is_reciprocal,
     kappa_elastic,
     lattice_sum_sq,
+    open_channel_sum,
     quasimomentum_grid,
 )
 
@@ -178,22 +179,11 @@ def largeL_sf_inelastic(
     from reciprocal vectors.  Otherwise the momentum sum concentrates on
     the single root q' of kappa_{q'} = q' and picks up the kinematic
     Jacobian denominator |1 + kel d J sin(q') / (E0 sqrt(1 - eps_{q'}/E0))|.
-    """
-    kel = kappa_elastic(ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio))
-    if is_reciprocal(kel):
-        return 0.0
-    if high_probe_energy(E0, J):
-        return float(form_factor(kel, V0)) ** 2
 
-    root = _kinematic_root(kel, E0, lambda q: float(bloch_dispersion(q, J)))
-    if is_reciprocal(root):
-        return 0.0
-    eps = float(bloch_dispersion(root, J))
-    if eps >= E0:
-        return 0.0
-    weight = np.sqrt(1.0 - eps / E0)
-    denom = abs(1.0 + kel * J * np.sin(root) / (E0 * weight))
-    return weight * float(form_factor(root, V0)) ** 2 / denom
+    Evaluated as largeL_bog_cs at zero interaction, as sf_inelastic is.
+    """
+    state = solve_depletion(LatticeSpec(L=2, n=1.0, U=0.0, J=J))
+    return largeL_bog_cs(state, ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio), V0)
 
 
 def largeL_bog_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> float:
@@ -305,18 +295,18 @@ def slope_lambda(
 
     grid = quasimomentum_grid(L)
     eps = bloch_dispersion(grid, J)
-    open_mask = eps < E0
-    grid, eps = grid[open_mask], eps[open_mask]
-    weight = np.sqrt(1.0 - eps / E0)
-    kq = kel * weight
-    sig2 = lattice_sum_sq(kq - grid, L)
-    w2 = form_factor(kq, V0) ** 2
-    G = sig2 * w2
-    dG = lattice_sum_sq_derivative(kq - grid, L) * w2 + sig2 * (
-        -kq / (np.pi**2 * np.sqrt(V0))
-    ) * w2
-    total = np.sum((2.0 * E0 - eps) / (eps * weight) * G + kel * dG)
-    lam = J / (2.0 * L**2 * E0) * float(total)
+
+    def summand(open_, weight, kq):
+        q, e = grid[open_], eps[open_]
+        sig2 = lattice_sum_sq(kq - q, L)
+        w2 = form_factor(kq, V0) ** 2
+        G = sig2 * w2
+        dG = lattice_sum_sq_derivative(kq - q, L) * w2 + sig2 * (
+            -kq / (np.pi**2 * np.sqrt(V0))
+        ) * w2
+        return (2.0 * E0 - e) / (e * weight) * G + kel * dG
+
+    lam = J / (2.0 * L**2 * E0) * open_channel_sum(kel, E0, eps, summand)
     return SlopeResult(lambda_=lam, gamma_sf=gamma, large_l_slope=large_l)
 
 

@@ -7,6 +7,7 @@ units of a_s^2.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,14 +55,14 @@ class LatticeSpec:
     def __post_init__(self):
         if not isinstance(self.L, (int, np.integer)) or self.L < 2:
             raise BadParameterError(f"lattice needs an integer L >= 2, got {self.L!r}")
-        if self.V0 <= 0:
-            raise BadParameterError(f"lattice depth must be positive, got V0={self.V0}")
-        if self.J <= 0:
-            raise BadParameterError(f"tunneling must be positive, got J={self.J}")
-        if self.U < 0:
-            raise BadParameterError(f"interaction must be non-negative, got U={self.U}")
-        if self.n <= 0:
-            raise BadParameterError(f"filling must be positive, got n={self.n}")
+        if not 0 < self.V0 < math.inf:
+            raise BadParameterError(f"lattice depth must be positive and finite, got V0={self.V0}")
+        if not 0 < self.J < math.inf:
+            raise BadParameterError(f"tunneling must be positive and finite, got J={self.J}")
+        if not 0 <= self.U < math.inf:
+            raise BadParameterError(f"interaction must be non-negative and finite, got U={self.U}")
+        if not 0 < self.n < math.inf:
+            raise BadParameterError(f"filling must be positive and finite, got n={self.n}")
 
     @property
     def N(self) -> int:
@@ -88,10 +89,12 @@ class ProbeSpec:
     mass_ratio: float = DEFAULT_MASS_RATIO
 
     def __post_init__(self):
-        if self.E0 <= 0:
-            raise BadParameterError(f"probe energy must be positive, got E0={self.E0}")
-        if self.mass_ratio <= 0:
-            raise BadParameterError(f"mass ratio must be positive, got {self.mass_ratio}")
+        if not 0 < self.E0 < math.inf:
+            raise BadParameterError(f"probe energy must be positive and finite, got E0={self.E0}")
+        if not 0 < self.mass_ratio < math.inf:
+            raise BadParameterError(
+                f"mass ratio must be positive and finite, got {self.mass_ratio}"
+            )
         if not -np.pi / 2 <= self.theta <= np.pi / 2:
             raise BadParameterError(
                 f"scattering angle must lie in [-pi/2, pi/2], got {self.theta}"
@@ -189,3 +192,20 @@ def is_reciprocal(kappa, tol: float = RECIPROCAL_TOL) -> bool:
     """
     folded = fold_to_zone(kappa)
     return bool(min(folded, 2.0 * np.pi - folded) < tol)
+
+
+def open_channel_sum(kel: float, E0: float, omega, summand) -> float:
+    """Sum of summand(open, root, kappa) over the channels omega < E0.
+
+    ``open`` masks the open channels of ``omega``; root = sqrt(1 - omega/E0)
+    and kappa = kel * root, the energy-rescaled transfer, are theirs.  The
+    sum is exactly 0.0 when kel sits on a reciprocal lattice vector (theta
+    = 0 included) or no channel is open.
+    """
+    if is_reciprocal(kel):
+        return 0.0
+    open_ = omega < E0
+    if not np.any(open_):
+        return 0.0
+    root = np.sqrt(1.0 - omega[open_] / E0)
+    return float(np.sum(summand(open_, root, kel * root)))

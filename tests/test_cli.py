@@ -228,6 +228,18 @@ def test_exit_2_negative_interaction(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--E0", "nan"), ("--J", "nan"), ("--V0", "inf"), ("--mass-ratio", "nan")]
+)
+def test_exit_2_non_finite_parameter(tmp_path, capsys, flag, value):
+    code, out, _ = run_cli(
+        tmp_path, "theta-scan", "--L", "4", "--n", "1", "--theta-grid", "3", flag, value
+    )
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_3_capacity(tmp_path, capsys):
     code, _, _ = run_cli(
         tmp_path, "compare", "--L", "5", "--N", "40", "--theta-grid", "3"
