@@ -20,6 +20,7 @@ from .model import (
     RECIPROCAL_TOL,
     LatticeSpec,
     ProbeSpec,
+    bisect,
     bloch_dispersion,
     form_factor,
     kappa_elastic,
@@ -29,7 +30,6 @@ from .model import (
 )
 
 DEPLETION_RESIDUAL_TOL = 1e-12
-_BISECTION_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _depleted_filling(n0: float, U: float, eps: np.ndarray, L: int) -> float:
 
 
 def solve_depletion(lattice: LatticeSpec) -> BogoliubovState:
-    """Self-consistent condensate filling by bisection on n0 in (0, n].
+    """Self-consistent condensate filling by model.bisect on n0 in (0, n].
 
     The depleted filling is strictly increasing in n0, so the bracket
     (1e-15 n, n] always contains the root; U = 0 short-circuits to n0 = n,
@@ -114,25 +114,20 @@ def solve_depletion(lattice: LatticeSpec) -> BogoliubovState:
     if U == 0.0:
         n0 = n
     else:
+        def excess(n0):
+            return _depleted_filling(n0, U, eps, L) - n
+
         lo, hi = 1e-15 * n, n
-        flo = _depleted_filling(lo, U, eps, L) - n
-        fhi = _depleted_filling(hi, U, eps, L) - n
+        flo, fhi = excess(lo), excess(hi)
         if flo > 0 or fhi < 0:
             raise ConvergenceError(
                 f"no depletion root in ({lo:.3e}, {hi:.3e}]: "
                 f"f(lo)={flo:.3e}, f(hi)={fhi:.3e}"
             )
-        for _ in range(_BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _depleted_filling(mid, U, eps, L) - n > 0:
-                hi = mid
-            else:
-                lo = mid
-        n0 = hi  # the side guaranteed to satisfy f >= 0 keeps n0 <= its root
+        # the side guaranteed to satisfy f >= 0 keeps n0 <= its root
+        n0 = bisect(excess, lo, hi)
 
-        residual = abs(_depleted_filling(n0, U, eps, L) - n)
+        residual = abs(excess(n0))
         if residual > DEPLETION_RESIDUAL_TOL * n:
             raise ConvergenceError(
                 f"depletion solve left residual {residual:.3e} "

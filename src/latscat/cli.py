@@ -20,6 +20,7 @@ from .errors import (
     CapacityError,
     NumericalError,
 )
+from .model import LatticeSpec
 from .scans import COMMANDS, PROVENANCES, ScanConfig, execute
 
 
@@ -175,10 +176,10 @@ def resolve_config(args) -> ScanConfig:
     if "N" in fields:
         L = fields.get("L_values", ScanConfig.L_values)[0]
         n = fields.setdefault("n", fields["N"] / L)
-        if int(round(n * L)) != fields["N"]:
+        N = LatticeSpec(L=L, n=n).N
+        if N != fields["N"]:
             raise BadParameterError(
-                f"--N {fields['N']} and --n {n} disagree on L={L} "
-                f"(round(n*L) = {int(round(n * L))})"
+                f"--N {fields['N']} and --n {n} disagree on L={L} (round(n*L) = {N})"
             )
     return ScanConfig(**fields)
 

@@ -12,6 +12,7 @@ goes through model.open_channel_sum; non-finite parameters are refused.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -82,24 +83,11 @@ def enumerate_basis(N: int, L: int, cap: int = BASIS_CAP) -> FockBasis:
             f"(N={N}, L={L})"
         )
 
-    states = np.zeros((dim, L), dtype=np.int64)
-    occ = np.zeros(L, dtype=np.int64)
-
-    # Fill site by site; descending occupation of the leading site gives
-    # reverse-lexicographic order, so enumerate ascending instead.
-    def fill(site: int, remaining: int, row: int) -> int:
-        if site == L - 1:
-            occ[site] = remaining
-            states[row] = occ
-            return row + 1
-        for k in range(remaining + 1):
-            occ[site] = k
-            row = fill(site + 1, remaining - k, row)
-        occ[site] = 0
-        return row
-
-    filled = fill(0, N, 0)
-    assert filled == dim
+    # Stars and bars: the gaps between L-1 bars among N+L-1 slots are the
+    # occupations; bars in lexicographic order give states in that order.
+    bars = itertools.chain.from_iterable(itertools.combinations(range(N + L - 1), L - 1))
+    bars = np.fromiter(bars, np.int64, dim * (L - 1)).reshape(dim, L - 1)
+    states = np.diff(bars, axis=1, prepend=-1, append=N + L - 1) - 1
     index = {tuple(map(int, s)): i for i, s in enumerate(states)}
     return FockBasis(N=N, L=L, states=states, index=index)
 

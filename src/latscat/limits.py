@@ -3,7 +3,9 @@
 Free-gas (superfluid) and strong-repulsion (Mott) limits, the L -> infinity
 forms with their kinematic root, the weak-interaction decay slope, the
 angles where the finite-size and infinite-size formulas cross, and the
-angle-averaged deviation metric between two cross-section curves.
+angle-averaged deviation metric between two cross-section curves.  The
+kinematic root falls back on model.bisect, the bisection that also solves
+the depletion, on a bracket that always holds a root.
 
 Every inelastic evaluator in this module returns exactly zero when the
 elastic momentum transfer sits on a reciprocal lattice vector (theta = 0
@@ -14,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .bogoliubov import BogoliubovState, bog_inelastic_cs, solve_depletion
-from .errors import ConvergenceError, UndefinedDeviationError
+from .errors import UndefinedDeviationError
 from .model import (
     DEFAULT_J,
     DEFAULT_MASS_RATIO,
@@ -25,6 +26,7 @@ from .model import (
     RECIPROCAL_TOL,
     LatticeSpec,
     ProbeSpec,
+    bisect,
     bloch_dispersion,
     fold_to_zone,
     form_factor,
@@ -133,10 +135,14 @@ def _kinematic_root(kel: float, E0: float, energy_of) -> float:
     """Solve kappa(q) = q with kappa(q) = kel*sqrt(1 - energy_of(q)/E0).
 
     Damped fixed-point iteration from q = kel; the excitation energies here
-    are thousandths of E0, so the map is strongly contracting.  Falls back
-    to bracketed root finding, and reports the bracket if even that fails.
-    The returned root is the real (unfolded) solution; the energy function
-    is 2*pi-periodic so folding plays no role in the iteration.
+    are thousandths of E0, so the map is strongly contracting.  When it
+    meets a closed channel or does not settle, model.bisect takes over on
+    the bracket between 0 and kel, which always holds a root of
+    kappa(q) - q: energy_of(0) = 0 makes it kel at q = 0, and at q = kel it
+    has the opposite sign or is 0, since the square root is at most 1
+    (kel = 0 is a reciprocal vector, which callers return on first).  The
+    returned root is the real (unfolded) solution; the energy function is
+    2*pi-periodic so folding plays no role in the iteration.
     """
     def residual(x):
         return kel * np.sqrt(max(0.0, 1.0 - energy_of(x) / E0)) - x
@@ -145,25 +151,14 @@ def _kinematic_root(kel: float, E0: float, energy_of) -> float:
     for _ in range(200):
         en = energy_of(x)
         if en >= E0:
-            break  # closed channel along the path; let the fallback decide
+            break  # closed channel along the path; let the bisection decide
         target = kel * np.sqrt(1.0 - en / E0)
         if abs(target - x) < ROOT_TOL:
             return target
         x = 0.5 * (x + target)
 
-    lo, hi = (kel, 0.0) if kel < 0 else (0.0, kel)
-    try:
-        root = scipy.optimize.brentq(residual, lo, hi, xtol=1e-14)
-    except ValueError as exc:
-        raise ConvergenceError(
-            f"kinematic root not found in bracket [{lo:.6g}, {hi:.6g}]: {exc}"
-        ) from exc
-    if abs(residual(root)) > 1e-9:
-        raise ConvergenceError(
-            f"kinematic root in [{lo:.6g}, {hi:.6g}] has residual "
-            f"{residual(root):.3e}"
-        )
-    return float(root)
+    lo, hi = (kel, 0.0) if kel > 0 else (0.0, kel)
+    return bisect(residual, lo, hi)
 
 
 def largeL_sf_inelastic(

@@ -61,8 +61,8 @@ class LatticeSpec:
             raise BadParameterError(f"tunneling must be positive and finite, got J={self.J}")
         if not 0 <= self.U < math.inf:
             raise BadParameterError(f"interaction must be non-negative and finite, got U={self.U}")
-        if not 0 < self.n < math.inf:
-            raise BadParameterError(f"filling must be positive and finite, got n={self.n}")
+        if not 0 < self.n * self.L < math.inf:
+            raise BadParameterError(f"filling needs a finite n*L > 0, got n={self.n}, L={self.L}")
 
     @property
     def N(self) -> int:
@@ -209,3 +209,20 @@ def open_channel_sum(kel: float, E0: float, omega, summand) -> float:
         return 0.0
     root = np.sqrt(1.0 - omega[open_] / E0)
     return float(np.sum(summand(open_, root, kel * root)))
+
+
+def bisect(f, lo: float, hi: float) -> float:
+    """Root of f in a bracket with f(lo) <= 0 < f(hi); lo may lie above hi.
+
+    Halves the bracket at most 200 times, until the midpoint stops moving,
+    and returns hi, the end on the positive side.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if f(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi

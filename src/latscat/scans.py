@@ -97,7 +97,7 @@ class ScanConfig:
         return self.L_values[0]
 
     def particle_number(self) -> int:
-        return self.N if self.N is not None else int(round(self.n * self.L))
+        return self.N if self.N is not None else LatticeSpec(L=self.L, n=self.n).N
 
     def filling(self) -> float:
         return self.particle_number() / self.L

@@ -130,6 +130,20 @@ def test_module_entry_point(tmp_path):
     assert out.exists()
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    # both self-consistent solves bisect in model.py; SciPy serves only eigh
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, latscat.cli; print('scipy.optimize' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -229,7 +243,15 @@ def test_exit_2_negative_interaction(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--E0", "nan"), ("--J", "nan"), ("--V0", "inf"), ("--mass-ratio", "nan")]
+    "flag, value",
+    [
+        ("--E0", "nan"),
+        ("--J", "nan"),
+        ("--V0", "inf"),
+        ("--mass-ratio", "nan"),
+        ("--n", "inf"),
+        ("--n", "1e308"),
+    ],
 )
 def test_exit_2_non_finite_parameter(tmp_path, capsys, flag, value):
     code, out, _ = run_cli(

@@ -45,6 +45,14 @@ def test_enumerate_basis_counts_and_order():
     assert order == sorted(order)
 
 
+def test_enumerate_basis_on_a_long_chain():
+    # one state per site, built without recursing once per site
+    basis = enumerate_basis(1, 1500)
+    assert basis.states.shape == (1500, 1500)
+    assert np.array_equal(basis.states, np.eye(1500, dtype=np.int64)[::-1])
+    assert basis.rank(basis.states[-1]) == 1499
+
+
 def test_enumerate_basis_index_roundtrip():
     basis = enumerate_basis(4, 3)
     for i, state in enumerate(basis.states):
