@@ -12,6 +12,7 @@ model.open_channel_sum.  Non-finite parameters are refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .model import (
     kappa_elastic,
     lattice_sum_sq,
     open_channel_sum,
+    per_energy,
     quasimomentum_grid,
 )
 
@@ -38,7 +40,8 @@ class BogoliubovState:
 
     n0 is the condensate filling, mu the mean-field chemical potential,
     omega_table the quasiparticle energies over the q != 0 grid, and
-    healing_ok the advisory healing-length validity flag.
+    healing_ok the advisory healing-length validity flag.  The grid itself
+    and its Bloch energies eps_q are built once, when first asked for.
     """
 
     lattice: LatticeSpec
@@ -51,6 +54,16 @@ class BogoliubovState:
     @property
     def Un0(self) -> float:
         return self.lattice.U * self.n0
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Quasimomenta q != 0 of the chain, in the order of omega_table."""
+        return quasimomentum_grid(self.lattice.L)
+
+    @cached_property
+    def eps(self) -> np.ndarray:
+        """Bloch energies eps_q over the grid."""
+        return bloch_dispersion(self.grid, self.lattice.J)
 
 
 def _quasiparticle_energy(eps, Un0):
@@ -166,12 +179,20 @@ def bog_inelastic_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> flo
     with kappa_q the energy-rescaled momentum transfer.  Returns exactly
     zero when kappa_el sits on a reciprocal lattice vector.
     """
-    lattice = state.lattice
-    grid = quasimomentum_grid(lattice.L)
-    eps = bloch_dispersion(grid, lattice.J)
-    omega = state.omega_table
+    return _one_quasiparticle(state, probe.E0, kappa_elastic(probe), V0)
 
-    def summand(open_, root, kq):
+
+def bog_inelastic_curve(state: BogoliubovState, probes, V0: float) -> np.ndarray:
+    """bog_inelastic_cs at every probe, one open-channel sum per probe energy."""
+    return per_energy(probes, lambda E0, kel: _one_quasiparticle(state, E0, kel, V0))
+
+
+def _one_quasiparticle(state: BogoliubovState, E0: float, kel, V0: float):
+    """bog_inelastic_cs of the probes at energy E0 with elastic transfers kel."""
+    lattice = state.lattice
+    grid, eps, omega = state.grid, state.eps, state.omega_table
+
+    def summand(open_, root, kq, kel):
         return (
             root
             * (state.n0 / lattice.n)
@@ -180,7 +201,7 @@ def bog_inelastic_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> flo
             * form_factor(kq, V0) ** 2
         )
 
-    return open_channel_sum(kappa_elastic(probe), probe.E0, omega, summand) / lattice.L**2
+    return open_channel_sum(kel, E0, omega, summand) / lattice.L**2
 
 
 def pair_coupling(eps_q, eps_p, Un0: float, same_mode):
@@ -206,16 +227,14 @@ def two_qp_contribution(state: BogoliubovState, probe: ProbeSpec, V0: float) -> 
     N, which is why it is reported separately and never added to totals.
     """
     L = state.lattice.L
-    grid = quasimomentum_grid(L)
-    eps = bloch_dispersion(grid, state.lattice.J)
-    omega = state.omega_table
+    grid, eps, omega = state.grid, state.eps, state.omega_table
 
     osum = (omega[:, None] + omega[None, :]).ravel()
     qsum = (grid[:, None] + grid[None, :]).ravel()
     same = np.eye(L - 1, dtype=bool)
     f = pair_coupling(eps[:, None], eps[None, :], state.Un0, same).ravel()
 
-    def summand(open_, root, kpair):
+    def summand(open_, root, kpair, kel):
         sig2 = lattice_sum_sq(kpair - qsum[open_], L)
         return root * f[open_] * sig2 * form_factor(kpair, V0) ** 2
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadParameterError,
@@ -31,11 +30,16 @@ from .model import (
     form_factor,
     kappa_elastic,
     open_channel_sum,
+    per_energy,
 )
 
 # Refuse basis sizes past this point: the dense solver needs all
 # eigenpairs, and memory grows as dim^2.
 BASIS_CAP = 30_000
+
+# Dense diagonalization holds about this many dim x dim double matrices at
+# once: the Hamiltonian, the eigenvectors and the solver's workspace.
+DENSE_MATRICES = 3
 
 # Ground-state gap below this fraction of the spectral range is treated
 # as a degeneracy (the cross section presumes a unique ground state).
@@ -92,19 +96,41 @@ def enumerate_basis(N: int, L: int, cap: int = BASIS_CAP) -> FockBasis:
     return FockBasis(N=N, L=L, states=states, index=index)
 
 
+def _available_bytes() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
 def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
     """Dense symmetric Bose-Hubbard matrix on the given basis.
 
     Hopping runs over the periodic bonds j -> j+1 mod L.  For L=2 the two
     wrap-around bonds connect the same pair of sites, so the effective
     hopping amplitude doubles to 2J there (this matches the two-site Bloch
-    spectrum); L >= 3 is the recommended regime.
+    spectrum); L >= 3 is the recommended regime.  Before the matrix is
+    allocated, a basis whose dense diagonalization would not fit in the
+    available memory (about DENSE_MATRICES * 8 * dim^2 bytes) is refused;
+    where the available memory cannot be read, the check is skipped.
     """
     if J < 0:
         raise BadParameterError(f"tunneling must be non-negative, got J={J}")
     if U < 0:
         raise BadParameterError(f"interaction must be non-negative, got U={U}")
     dim, L = basis.states.shape
+    need = DENSE_MATRICES * 8 * dim * dim
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise CapacityError(
+            f"dense diagonalization of dimension {dim} needs about {need} bytes, "
+            f"but only {available} bytes of memory are available"
+        )
     hop = np.zeros((dim, dim))
     for row, occ in enumerate(basis.states):
         for j in range(L):
@@ -146,7 +172,11 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
     Verifies the per-pair residual ||Hv - lambda v|| <= 1e-8 ||H|| and that
     the ground state is unique (gap above 1e-10 of the spectral range).
     When a basis is supplied the density matrix elements are filled in.
+    SciPy is imported here, the only place that needs it, so a run that
+    never diagonalizes never loads it.
     """
+    import scipy.linalg
+
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise BadParameterError(f"matrix must be square, got shape {H.shape}")
@@ -249,6 +279,11 @@ def exact_cross_section(
     reciprocal lattice vector (theta = 0 included) the lattice phases
     interfere destructively and the inelastic part is exactly zero.
     """
+    return exact_cross_sections(spectrum, lattice, [probe])[0]
+
+
+def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes) -> list:
+    """exact_cross_section at every probe, one open-channel sum per probe energy."""
     if spectrum.density_elements is None:
         raise BadParameterError("spectrum has no density elements; diagonalize first")
     table = spectrum.density_elements
@@ -258,20 +293,23 @@ def exact_cross_section(
             f"spectrum was computed for {table.shape[1]} sites, lattice has {L}"
         )
     x = np.arange(1, L + 1, dtype=float)
-    kel = kappa_elastic(probe)
-
-    ground_row = table[spectrum.ground_index]
-    amp_el = np.sum(np.exp(1j * kel * x) * ground_row)
-    elastic = float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2)
-
     dE = spectrum.eigenvalues - spectrum.ground_energy
     dE[spectrum.ground_index] = np.inf  # the ground state is not a channel
-    contributing = int(np.count_nonzero(dE < probe.E0))
 
-    def summand(open_, root, kappa_e):
-        phases = np.exp(1j * np.outer(kappa_e, x))
-        amps = np.einsum("ej,ej->e", phases, table[open_])
+    def summand(open_, root, kappa_e, kel):
+        phases = np.exp(1j * (kappa_e[..., None] * x))
+        amps = np.einsum("pej,ej->pe", phases, table[open_])
         return root * form_factor(kappa_e, lattice.V0) ** 2 * np.abs(amps) ** 2
 
-    inelastic = open_channel_sum(kel, probe.E0, dE, summand)
-    return ExactCrossSection(probe.theta, elastic, inelastic, contributing)
+    inelastic = per_energy(probes, lambda E0, kel: open_channel_sum(kel, E0, dE, summand))
+    ground_row = table[spectrum.ground_index]
+    results = []
+    # the elastic term stays per probe: abs() of a complex scalar and
+    # np.abs of an array round differently, and the values must not move
+    for probe, inel in zip(probes, inelastic):
+        kel = kappa_elastic(probe)
+        amp_el = np.sum(np.exp(1j * kel * x) * ground_row)
+        elastic = float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2)
+        contributing = int(np.count_nonzero(dE < probe.E0))
+        results.append(ExactCrossSection(probe.theta, elastic, float(inel), contributing))
+    return results

@@ -14,10 +14,16 @@ included): the lattice phases interfere destructively there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bogoliubov import BogoliubovState, bog_inelastic_cs, solve_depletion
+from .bogoliubov import (
+    BogoliubovState,
+    bog_inelastic_cs,
+    bog_inelastic_curve,
+    solve_depletion,
+)
 from .errors import UndefinedDeviationError
 from .model import (
     DEFAULT_J,
@@ -34,7 +40,7 @@ from .model import (
     kappa_elastic,
     lattice_sum_sq,
     open_channel_sum,
-    quasimomentum_grid,
+    per_energy,
 )
 
 ROOT_TOL = 1e-12
@@ -56,6 +62,12 @@ def high_probe_energy(E0: float, J: float, u: float = 0.0) -> bool:
 # ------------------------------------------------------------------ limits
 
 
+@lru_cache(maxsize=16, typed=True)
+def _free_state(L: int, J: float) -> BogoliubovState:
+    """The interaction-free condensate at unit filling, solved once per (L, J)."""
+    return solve_depletion(LatticeSpec(L=L, n=1.0, U=0.0, J=J))
+
+
 def sf_inelastic(
     L: int,
     E0: float,
@@ -73,8 +85,13 @@ def sf_inelastic(
     reduces to this formula identically (same code path, so the two agree
     bit-for-bit).
     """
-    state = solve_depletion(LatticeSpec(L=L, n=1.0, U=0.0, J=J))
-    return bog_inelastic_cs(state, ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio), V0)
+    probe = ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio)
+    return bog_inelastic_cs(_free_state(L, J), probe, V0)
+
+
+def sf_inelastic_curve(L: int, probes, V0: float = DEFAULT_V0, J: float = DEFAULT_J):
+    """sf_inelastic at every probe, one open-channel sum per probe energy."""
+    return bog_inelastic_curve(_free_state(L, J), probes, V0)
 
 
 def elastic_cs(
@@ -177,8 +194,8 @@ def largeL_sf_inelastic(
 
     Evaluated as largeL_bog_cs at zero interaction, as sf_inelastic is.
     """
-    state = solve_depletion(LatticeSpec(L=2, n=1.0, U=0.0, J=J))
-    return largeL_bog_cs(state, ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio), V0)
+    probe = ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio)
+    return largeL_bog_cs(_free_state(2, J), probe, V0)
 
 
 def largeL_bog_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> float:
@@ -278,31 +295,42 @@ def slope_lambda(
     kappa_q = kappa_el sqrt(1 - eps_q/E0); the kappa-derivative is taken
     analytically on the closed forms.
     """
-    kel = kappa_elastic(ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio))
-    gamma = sf_inelastic(L, E0, theta, V0, mass_ratio, J)
+    probe = ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio)
+    return slope_curve(L, [probe], V0, J)[0]
 
-    if is_reciprocal(kel):
-        # every interference factor |Sigma(kappa_q - q)|^2 vanishes
-        # identically on the grid, so the slope is an exact zero while the
-        # infinite-lattice reference diverges
-        return SlopeResult(lambda_=0.0, gamma_sf=gamma, large_l_slope=np.inf)
-    large_l = float(form_factor(kel, V0)) ** 2 / (4.0 * np.sin(kel / 2.0) ** 2)
 
-    grid = quasimomentum_grid(L)
-    eps = bloch_dispersion(grid, J)
+def slope_curve(L: int, probes, V0: float = DEFAULT_V0, J: float = DEFAULT_J) -> list:
+    """slope_lambda at every probe, one open-channel sum per probe energy."""
+    state = _free_state(L, J)
+    grid, eps = state.grid, state.eps
 
-    def summand(open_, weight, kq):
-        q, e = grid[open_], eps[open_]
-        sig2 = lattice_sum_sq(kq - q, L)
-        w2 = form_factor(kq, V0) ** 2
-        G = sig2 * w2
-        dG = lattice_sum_sq_derivative(kq - q, L) * w2 + sig2 * (
-            -kq / (np.pi**2 * np.sqrt(V0))
-        ) * w2
-        return (2.0 * E0 - e) / (e * weight) * G + kel * dG
+    def decay_rate(E0, kel):
+        def summand(open_, weight, kq, kel):
+            q, e = grid[open_], eps[open_]
+            sig2 = lattice_sum_sq(kq - q, L)
+            w2 = form_factor(kq, V0) ** 2
+            G = sig2 * w2
+            dG = lattice_sum_sq_derivative(kq - q, L) * w2 + sig2 * (
+                -kq / (np.pi**2 * np.sqrt(V0))
+            ) * w2
+            return (2.0 * E0 - e) / (e * weight) * G + kel * dG
 
-    lam = J / (2.0 * L**2 * E0) * open_channel_sum(kel, E0, eps, summand)
-    return SlopeResult(lambda_=lam, gamma_sf=gamma, large_l_slope=large_l)
+        return J / (2.0 * L**2 * E0) * open_channel_sum(kel, E0, eps, summand)
+
+    gammas = bog_inelastic_curve(state, probes, V0)
+    lambdas = per_energy(probes, decay_rate)
+    results = []
+    for probe, lam, gamma in zip(probes, lambdas, gammas):
+        kel = kappa_elastic(probe)
+        if is_reciprocal(kel):
+            # every interference factor |Sigma(kappa_q - q)|^2 vanishes
+            # identically on the grid, so the slope is an exact zero while
+            # the infinite-lattice reference diverges
+            large_l = np.inf
+        else:
+            large_l = float(form_factor(kel, V0)) ** 2 / (4.0 * np.sin(kel / 2.0) ** 2)
+        results.append(SlopeResult(float(lam), float(gamma), large_l))
+    return results
 
 
 def fit_small_u_slope(u_values, cs_values, degree: int = 4) -> float:

@@ -183,32 +183,65 @@ def fold_to_zone(k):
     return np.mod(k, 2.0 * np.pi)
 
 
-def is_reciprocal(kappa, tol: float = RECIPROCAL_TOL) -> bool:
+def is_reciprocal(kappa, tol: float = RECIPROCAL_TOL):
     """True when kappa sits on a reciprocal lattice vector 2*pi*j (within tol).
 
     Used by every inelastic evaluator: at these momenta (theta = 0 included)
     the lattice phases interfere destructively and the inelastic signal is
-    reported as exactly zero.
+    reported as exactly zero.  A scalar gives a bool, an array a mask.
     """
     folded = fold_to_zone(kappa)
-    return bool(min(folded, 2.0 * np.pi - folded) < tol)
+    near = np.minimum(folded, 2.0 * np.pi - folded) < tol
+    return near if near.ndim else bool(near)
 
 
-def open_channel_sum(kel: float, E0: float, omega, summand) -> float:
-    """Sum of summand(open, root, kappa) over the channels omega < E0.
+# open_channel_sum hands its summand at most this many (probe, channel)
+# terms at once, so a long list of probes keeps a bounded footprint.
+CHUNK_TERMS = 1 << 14
 
-    ``open`` masks the open channels of ``omega``; root = sqrt(1 - omega/E0)
-    and kappa = kel * root, the energy-rescaled transfer, are theirs.  The
-    sum is exactly 0.0 when kel sits on a reciprocal lattice vector (theta
-    = 0 included) or no channel is open.
+
+def open_channel_sum(kel, E0: float, omega, summand):
+    """Sum of summand(open, root, kappa, kel) over the channels omega < E0, per probe.
+
+    ``kel`` holds the elastic transfers of probes that share the energy E0;
+    a scalar is one probe and gives a float, an array gives one sum per
+    entry.  ``open`` masks the open channels of ``omega`` and root =
+    sqrt(1 - omega/E0) is theirs.  The summand sees a block of probes:
+    ``kel`` as a column and kappa = kel * root, the energy-rescaled
+    transfers, with one row per probe and one column per open channel.  It
+    returns the terms in that shape, and each row is summed on its own over
+    the same compacted channels, so a probe's sum is bit for bit the one it
+    has alone.  A probe's sum is exactly 0.0 when its kel sits on a
+    reciprocal lattice vector (theta = 0 included; its row is summed and
+    then overwritten) or no channel is open.
     """
-    if is_reciprocal(kel):
-        return 0.0
+    kels = np.asarray(kel, dtype=float).reshape(-1, 1)
+    out = np.zeros(len(kels))
     open_ = omega < E0
-    if not np.any(open_):
-        return 0.0
-    root = np.sqrt(1.0 - omega[open_] / E0)
-    return float(np.sum(summand(open_, root, kel * root)))
+    if np.any(open_):
+        root = np.sqrt(1.0 - omega[open_] / E0)
+        step = max(1, CHUNK_TERMS // root.size)
+        for start in range(0, len(kels), step):
+            block = kels[start : start + step]
+            out[start : start + step] = np.sum(summand(open_, root, block * root, block), axis=1)
+        out[is_reciprocal(kels[:, 0])] = 0.0
+    return out if np.ndim(kel) else float(out[0])
+
+
+def per_energy(probes, curve) -> np.ndarray:
+    """curve(E0, kel) at every probe, in probe order.
+
+    The curve is called once per distinct probe energy E0 with the array of
+    elastic transfers kel of the probes at that energy, so open_channel_sum
+    sums each group in one call.
+    """
+    energies = np.array([p.E0 for p in probes])
+    kel = np.array([kappa_elastic(p) for p in probes])
+    out = np.zeros(len(probes))
+    for E0 in dict.fromkeys(energies.tolist()):
+        rows = energies == E0
+        out[rows] = curve(E0, kel[rows])
+    return out
 
 
 def bisect(f, lo: float, hi: float) -> float:

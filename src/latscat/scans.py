@@ -25,14 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bogoliubov import solve_depletion, bog_inelastic_cs, depletion_quadratic
+from .bogoliubov import bog_inelastic_curve, depletion_quadratic, solve_depletion
 from .errors import BadParameterError, CacheError, CapacityError
 from .exact import (
     BASIS_CAP,
     SpectrumResult,
     basis_dimension,
     diagonalize,
-    exact_cross_section,
+    exact_cross_sections,
 )
 from .limits import (
     DEVIATION_FLOOR_FRACTION,
@@ -42,8 +42,8 @@ from .limits import (
     largeL_sf_inelastic,
     mi_inelastic,
     relative_deviation,
-    sf_inelastic,
-    slope_lambda,
+    sf_inelastic_curve,
+    slope_curve,
 )
 from .model import (
     DEFAULT_E0,
@@ -346,7 +346,12 @@ class Site:
     It holds the lattice, the leading CSV cells that name it (`label`), the
     probes of the inner loop and the provenances it reports.  The depletion
     state, the exact cross sections and each provenance's curve are
-    computed once, and only when first asked for.
+    computed once, and only when first asked for.  The exact, bogoliubov
+    and sf-limit curves and the decay slopes are summed over all of the
+    site's probes at once, one open-channel sum per probe energy; the
+    largeL and mi-limit curves and the shared elastic cross section go
+    probe by probe.  The site keeps no spectrum: only the exact cross
+    sections outlive the call that reads it.
     """
 
     def __init__(self, config, manifest, kinds, lattice, probes, label=(), u=None, where=""):
@@ -372,7 +377,7 @@ class Site:
                 f"(N={lat.N}, L={lat.L}) above the cap {BASIS_CAP}"
             )
         spectrum = cache_spectrum(lat, self.config.cache_dir, self.manifest)
-        return [exact_cross_section(spectrum, lat, p) for p in self.probes]
+        return exact_cross_sections(spectrum, lat, self.probes)
 
     def each(self, fn, *head, tail=()):
         """fn(*head, E0, theta, V0, mass_ratio, *tail) at every probe."""
@@ -381,7 +386,7 @@ class Site:
 
     @cached_property
     def slopes(self):
-        return self.each(slope_lambda, self.lattice.L, tail=(self.lattice.J,))
+        return slope_curve(self.lattice.L, self.probes, self.lattice.V0, self.lattice.J)
 
     @cached_property
     def deviation(self):
@@ -413,8 +418,8 @@ class Site:
 # cross section per particle at each of its probes.
 CURVES = {
     "exact": lambda s, lat: [cs.inelastic / lat.N for cs in s.exact],
-    "bogoliubov": lambda s, lat: [bog_inelastic_cs(s.state, p, lat.V0) for p in s.probes],
-    "sf-limit": lambda s, lat: s.each(sf_inelastic, lat.L, tail=(lat.J,)),
+    "bogoliubov": lambda s, lat: bog_inelastic_curve(s.state, s.probes, lat.V0),
+    "sf-limit": lambda s, lat: sf_inelastic_curve(lat.L, s.probes, lat.V0, lat.J),
     "mi-limit": lambda s, lat: s.each(mi_inelastic, lat.L, lat.n, tail=(lat.U,)),
     "largeL": lambda s, lat: [largeL_bog_cs(s.state, p, lat.V0) for p in s.probes],
     "linear": lambda s, lat: [sl.gamma_sf - sl.lambda_ * s.u for sl in s.slopes],

@@ -144,6 +144,43 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "False"
 
 
+def scipy_loaded_after(code):
+    """Run code in a fresh interpreter; True when it left any SciPy module loaded."""
+    probe = "\nimport sys\nprint(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + probe], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_cli_import_loads_no_scipy():
+    # only the dense eigensolver needs SciPy, and it imports it itself
+    assert not scipy_loaded_after("import latscat.cli")
+
+
+def test_quasiparticle_run_loads_no_scipy(tmp_path):
+    out = tmp_path / "bog.csv"
+    code = (
+        "from latscat.cli import main\n"
+        "assert main(['theta-scan', '--provenance', 'bogoliubov', '--L', '5',"
+        f" '--theta-grid', '5', '--out', {str(out)!r}]) == 0"
+    )
+    assert not scipy_loaded_after(code)
+    assert out.exists()
+
+
+def test_diagonalizing_run_loads_scipy(tmp_path):
+    out = tmp_path / "exact.csv"
+    code = (
+        "from latscat.cli import main\n"
+        "assert main(['theta-scan', '--provenance', 'exact', '--L', '3', '--N', '3',"
+        f" '--theta-grid', '5', '--out', {str(out)!r}]) == 0"
+    )
+    assert scipy_loaded_after(code)
+    assert out.exists()
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -268,6 +305,20 @@ def test_exit_3_capacity(tmp_path, capsys):
     )
     assert code == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
+    # dimension C(5,3) = 10 needs about 3 * 8 * 10^2 = 2400 bytes
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1000)
+    code, out, _ = run_cli(
+        tmp_path,
+        "theta-scan",
+        "--L", "3", "--N", "3", "--provenance", "exact", "--theta-grid", "3",
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "capacity" in err and "2400 bytes" in err and "1000 bytes" in err
+    assert not out.exists()
 
 
 def test_exit_4_numerical(tmp_path, capsys):

@@ -4,9 +4,13 @@ Analytic landmarks (single-particle Bloch energies, free-gas ground energy,
 atomic-limit product states) anchor the Hamiltonian; a second eigensolver
 and an explicitly-built structure-factor sum serve as independent oracles.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+from latscat import exact
 
 from latscat.errors import BadParameterError, CapacityError, DegenerateGroundStateError
 from latscat.exact import (
@@ -117,6 +121,27 @@ def test_hamiltonian_rejects_negative_couplings():
 
 
 # --------------------------------------------------------------- spectrum
+
+
+def test_hamiltonian_refuses_a_basis_whose_dense_solve_would_not_fit(monkeypatch):
+    basis = enumerate_basis(3, 3)  # dimension 10: about 3 * 8 * 10^2 = 2400 bytes
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 2399)
+    with pytest.raises(CapacityError, match="dimension 10 needs about 2400 bytes.* 2399 bytes"):
+        build_hamiltonian(basis, J, 0.0)
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 2400)
+    assert build_hamiltonian(basis, J, 0.0).shape == (10, 10)
+
+
+def test_memory_gate_is_skipped_where_available_memory_is_unknown(monkeypatch):
+    monkeypatch.setattr(exact, "_available_bytes", lambda: None)
+    assert build_hamiltonian(enumerate_basis(3, 3), J, 0.0).shape == (10, 10)
+
+
+def test_available_memory_reads_none_without_meminfo():
+    with mock.patch("builtins.open", side_effect=OSError("no such file")):
+        assert exact._available_bytes() is None
+    available = exact._available_bytes()
+    assert available is None or available > 0
 
 
 def test_full_spectrum_against_second_solver():
