@@ -7,7 +7,8 @@ The condensate fraction is found self-consistently from
 after which the quasiparticle dispersion omega_q feeds the analytic
 inelastic cross section (one-quasiparticle channel) and the two-
 quasiparticle diagnostic term, both summed over open channels by
-model.open_channel_sum.  Non-finite parameters are refused.
+model.open_channel_sum; a one-probe function is the one-element list of
+its curve.  Non-finite parameters are refused.
 """
 from __future__ import annotations
 
@@ -24,10 +25,8 @@ from .model import (
     bisect,
     bloch_dispersion,
     form_factor,
-    kappa_elastic,
     lattice_sum_sq,
     open_channel_sum,
-    per_energy,
     quasimomentum_grid,
 )
 
@@ -165,9 +164,12 @@ def depletion_quadratic(lattice: LatticeSpec) -> float:
     alpha = (L^4 + 10 L^2 - 11) / (2880 N) with u = U n / J.  Valid only
     while the depletion is small; the caller owns that judgement.
     """
-    L, N = lattice.L, lattice.N
-    alpha = (L**4 + 10 * L**2 - 11) / (2880.0 * N)
-    return alpha * lattice.u_dimensionless**2
+    return depletion_alpha(lattice.L, lattice.N) * lattice.u_dimensionless**2
+
+
+def depletion_alpha(L: int, N: int) -> float:
+    """The coefficient alpha of depletion_quadratic for N particles on L sites."""
+    return (L**4 + 10 * L**2 - 11) / (2880.0 * N)
 
 
 def bog_inelastic_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> float:
@@ -179,20 +181,15 @@ def bog_inelastic_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> flo
     with kappa_q the energy-rescaled momentum transfer.  Returns exactly
     zero when kappa_el sits on a reciprocal lattice vector.
     """
-    return _one_quasiparticle(state, probe.E0, kappa_elastic(probe), V0)
+    return float(bog_inelastic_curve(state, [probe], V0)[0])
 
 
 def bog_inelastic_curve(state: BogoliubovState, probes, V0: float) -> np.ndarray:
-    """bog_inelastic_cs at every probe, one open-channel sum per probe energy."""
-    return per_energy(probes, lambda E0, kel: _one_quasiparticle(state, E0, kel, V0))
-
-
-def _one_quasiparticle(state: BogoliubovState, E0: float, kel, V0: float):
-    """bog_inelastic_cs of the probes at energy E0 with elastic transfers kel."""
+    """bog_inelastic_cs at every probe, in one open-channel sum."""
     lattice = state.lattice
     grid, eps, omega = state.grid, state.eps, state.omega_table
 
-    def summand(open_, root, kq, kel):
+    def summand(open_, root, kq, kel, E0):
         return (
             root
             * (state.n0 / lattice.n)
@@ -201,7 +198,7 @@ def _one_quasiparticle(state: BogoliubovState, E0: float, kel, V0: float):
             * form_factor(kq, V0) ** 2
         )
 
-    return open_channel_sum(kel, E0, omega, summand) / lattice.L**2
+    return open_channel_sum(probes, omega, summand) / lattice.L**2
 
 
 def pair_coupling(eps_q, eps_p, Un0: float, same_mode):
@@ -234,8 +231,8 @@ def two_qp_contribution(state: BogoliubovState, probe: ProbeSpec, V0: float) -> 
     same = np.eye(L - 1, dtype=bool)
     f = pair_coupling(eps[:, None], eps[None, :], state.Un0, same).ravel()
 
-    def summand(open_, root, kpair, kel):
+    def summand(open_, root, kpair, kel, E0):
         sig2 = lattice_sum_sq(kpair - qsum[open_], L)
         return root * f[open_] * sig2 * form_factor(kpair, V0) ** 2
 
-    return open_channel_sum(kappa_elastic(probe), probe.E0, osum, summand) / (2.0 * L**2)
+    return float(open_channel_sum([probe], osum, summand)[0]) / (2.0 * L**2)

@@ -8,7 +8,8 @@ its full spectrum, and the many-body cross section assembled from the
 density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
 every energy difference.  Like every open-channel sum, the inelastic one
-goes through model.open_channel_sum; non-finite parameters are refused.
+goes through model.open_channel_sum, which takes the probes of a curve at
+once; non-finite parameters are refused.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ from .model import (
     form_factor,
     kappa_elastic,
     open_channel_sum,
-    per_energy,
 )
 
 # Refuse basis sizes past this point: the dense solver needs all
@@ -233,20 +233,25 @@ def density_elements(result: SpectrumResult, basis: FockBasis) -> np.ndarray:
     occ = basis.states.astype(float)
     table = V.T @ (occ * g[:, None])
 
-    N, L = basis.N, basis.L
-    ground_row = table[result.ground_index]
-    tol = 1e-10 * max(1.0, float(N))
-    if abs(float(np.sum(ground_row)) - N) > tol:
-        raise NumericalError(
-            f"ground-state density sums to {np.sum(ground_row)!r}, expected N={N}"
-        )
-    if np.max(np.abs(ground_row - N / L)) > tol:
-        raise NumericalError(
-            "ground-state density profile is not uniform; "
-            "translation symmetry looks broken"
-        )
+    fault = ground_density_fault(table[result.ground_index], basis.N, basis.L)
+    if fault:
+        raise NumericalError(fault)
     result.density_elements = table
     return table
+
+
+def ground_density_fault(ground_row, N: int, L: int) -> str | None:
+    """Why a ground row <g|n_j|g> cannot belong to the unique ground state, or None.
+
+    The row must sum to N (particle-number conservation) and be uniform at
+    N/L (translation invariance), both to 1e-10 max(1, N).
+    """
+    tol = 1e-10 * max(1.0, float(N))
+    if not abs(float(np.sum(ground_row)) - N) <= tol:
+        return f"ground-state density sums to {np.sum(ground_row)!r}, expected N={N}"
+    if not np.max(np.abs(ground_row - N / L)) <= tol:
+        return "ground-state density profile is not uniform; translation symmetry looks broken"
+    return None
 
 
 def diagonalize(lattice: LatticeSpec, cap: int = BASIS_CAP) -> SpectrumResult:
@@ -283,7 +288,7 @@ def exact_cross_section(
 
 
 def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes) -> list:
-    """exact_cross_section at every probe, one open-channel sum per probe energy."""
+    """exact_cross_section at every probe, in one open-channel sum."""
     if spectrum.density_elements is None:
         raise BadParameterError("spectrum has no density elements; diagonalize first")
     table = spectrum.density_elements
@@ -296,12 +301,12 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
     dE = spectrum.eigenvalues - spectrum.ground_energy
     dE[spectrum.ground_index] = np.inf  # the ground state is not a channel
 
-    def summand(open_, root, kappa_e, kel):
+    def summand(open_, root, kappa_e, kel, E0):
         phases = np.exp(1j * (kappa_e[..., None] * x))
         amps = np.einsum("pej,ej->pe", phases, table[open_])
         return root * form_factor(kappa_e, lattice.V0) ** 2 * np.abs(amps) ** 2
 
-    inelastic = per_energy(probes, lambda E0, kel: open_channel_sum(kel, E0, dE, summand))
+    inelastic = open_channel_sum(probes, dE, summand)
     ground_row = table[spectrum.ground_index]
     results = []
     # the elastic term stays per probe: abs() of a complex scalar and

@@ -20,7 +20,6 @@ import numpy as np
 
 from .bogoliubov import (
     BogoliubovState,
-    bog_inelastic_cs,
     bog_inelastic_curve,
     solve_depletion,
 )
@@ -40,7 +39,6 @@ from .model import (
     kappa_elastic,
     lattice_sum_sq,
     open_channel_sum,
-    per_energy,
 )
 
 ROOT_TOL = 1e-12
@@ -86,11 +84,11 @@ def sf_inelastic(
     bit-for-bit).
     """
     probe = ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio)
-    return bog_inelastic_cs(_free_state(L, J), probe, V0)
+    return float(sf_inelastic_curve(L, [probe], V0, J)[0])
 
 
 def sf_inelastic_curve(L: int, probes, V0: float = DEFAULT_V0, J: float = DEFAULT_J):
-    """sf_inelastic at every probe, one open-channel sum per probe energy."""
+    """sf_inelastic at every probe, in one open-channel sum."""
     return bog_inelastic_curve(_free_state(L, J), probes, V0)
 
 
@@ -300,25 +298,23 @@ def slope_lambda(
 
 
 def slope_curve(L: int, probes, V0: float = DEFAULT_V0, J: float = DEFAULT_J) -> list:
-    """slope_lambda at every probe, one open-channel sum per probe energy."""
+    """slope_lambda at every probe, in one open-channel sum."""
     state = _free_state(L, J)
     grid, eps = state.grid, state.eps
 
-    def decay_rate(E0, kel):
-        def summand(open_, weight, kq, kel):
-            q, e = grid[open_], eps[open_]
-            sig2 = lattice_sum_sq(kq - q, L)
-            w2 = form_factor(kq, V0) ** 2
-            G = sig2 * w2
-            dG = lattice_sum_sq_derivative(kq - q, L) * w2 + sig2 * (
-                -kq / (np.pi**2 * np.sqrt(V0))
-            ) * w2
-            return (2.0 * E0 - e) / (e * weight) * G + kel * dG
+    def summand(open_, weight, kq, kel, E0):
+        q, e = grid[open_], eps[open_]
+        sig2 = lattice_sum_sq(kq - q, L)
+        w2 = form_factor(kq, V0) ** 2
+        G = sig2 * w2
+        dG = lattice_sum_sq_derivative(kq - q, L) * w2 + sig2 * (
+            -kq / (np.pi**2 * np.sqrt(V0))
+        ) * w2
+        return (2.0 * E0 - e) / (e * weight) * G + kel * dG
 
-        return J / (2.0 * L**2 * E0) * open_channel_sum(kel, E0, eps, summand)
-
+    energies = np.array([p.E0 for p in probes], dtype=float)
     gammas = bog_inelastic_curve(state, probes, V0)
-    lambdas = per_energy(probes, decay_rate)
+    lambdas = J / (2.0 * L**2 * energies) * open_channel_sum(probes, eps, summand)
     results = []
     for probe, lam, gamma in zip(probes, lambdas, gammas):
         kel = kappa_elastic(probe)

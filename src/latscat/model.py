@@ -1,5 +1,9 @@
 """Unit conventions, probe kinematics, lattice dispersion and form factors.
 
+Also the one open-channel kernel of every inelastic Born sum, exact or
+quasiparticle: open_channel_sum(probes, omega, summand) takes a list of
+probes, groups them by energy E0 and returns one sum per probe.
+
 Unit system: lattice constant d = 1, recoil energy E_r = 1, scattering
 length a_s = 1. Energies (J, U, E0, dispersions) are therefore pure
 numbers in units of E_r, momenta in units of 1/d, and cross sections in
@@ -95,6 +99,11 @@ class ProbeSpec:
             raise BadParameterError(
                 f"mass ratio must be positive and finite, got {self.mass_ratio}"
             )
+        if not self.E0 * self.mass_ratio < math.inf:
+            raise BadParameterError(
+                f"probe needs a finite E0*mass_ratio, got E0={self.E0}, "
+                f"mass_ratio={self.mass_ratio}"
+            )
         if not -np.pi / 2 <= self.theta <= np.pi / 2:
             raise BadParameterError(
                 f"scattering angle must lie in [-pi/2, pi/2], got {self.theta}"
@@ -183,15 +192,15 @@ def fold_to_zone(k):
     return np.mod(k, 2.0 * np.pi)
 
 
-def is_reciprocal(kappa, tol: float = RECIPROCAL_TOL):
-    """True when kappa sits on a reciprocal lattice vector 2*pi*j (within tol).
+def is_reciprocal(kappa):
+    """True when kappa sits within RECIPROCAL_TOL of a reciprocal lattice vector 2*pi*j.
 
     Used by every inelastic evaluator: at these momenta (theta = 0 included)
     the lattice phases interfere destructively and the inelastic signal is
     reported as exactly zero.  A scalar gives a bool, an array a mask.
     """
     folded = fold_to_zone(kappa)
-    near = np.minimum(folded, 2.0 * np.pi - folded) < tol
+    near = np.minimum(folded, 2.0 * np.pi - folded) < RECIPROCAL_TOL
     return near if near.ndim else bool(near)
 
 
@@ -200,47 +209,37 @@ def is_reciprocal(kappa, tol: float = RECIPROCAL_TOL):
 CHUNK_TERMS = 1 << 14
 
 
-def open_channel_sum(kel, E0: float, omega, summand):
-    """Sum of summand(open, root, kappa, kel) over the channels omega < E0, per probe.
+def open_channel_sum(probes, omega, summand) -> np.ndarray:
+    """Sum of summand(open, root, kappa, kel, E0) over the channels omega < E0, per probe.
 
-    ``kel`` holds the elastic transfers of probes that share the energy E0;
-    a scalar is one probe and gives a float, an array gives one sum per
-    entry.  ``open`` masks the open channels of ``omega`` and root =
-    sqrt(1 - omega/E0) is theirs.  The summand sees a block of probes:
-    ``kel`` as a column and kappa = kel * root, the energy-rescaled
-    transfers, with one row per probe and one column per open channel.  It
-    returns the terms in that shape, and each row is summed on its own over
-    the same compacted channels, so a probe's sum is bit for bit the one it
-    has alone.  A probe's sum is exactly 0.0 when its kel sits on a
-    reciprocal lattice vector (theta = 0 included; its row is summed and
-    then overwritten) or no channel is open.
+    Returns one float64 per probe, in probe order.  The probes are grouped
+    by their energy E0; ``open`` masks the channels of ``omega`` below it
+    and root = sqrt(1 - omega/E0) is theirs.  The summand sees a block of
+    probes of one group: their elastic transfers ``kel`` as a column and
+    kappa = kel * root, the energy-rescaled transfers, with one row per
+    probe and one column per open channel.  It returns the terms in that
+    shape, and each row is summed on its own over the same compacted
+    channels, so a probe's sum is bit for bit the one it has alone.  A
+    probe's sum is exactly 0.0 when its kel sits on a reciprocal lattice
+    vector (theta = 0 included; its row is summed and then overwritten) or
+    no channel is open.
     """
-    kels = np.asarray(kel, dtype=float).reshape(-1, 1)
+    kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
+    groups = {}
+    for i, p in enumerate(probes):
+        groups.setdefault(float(p.E0), []).append(i)
     out = np.zeros(len(kels))
-    open_ = omega < E0
-    if np.any(open_):
+    for E0, rows in groups.items():
+        open_ = omega < E0
         root = np.sqrt(1.0 - omega[open_] / E0)
+        if not root.size:
+            continue
         step = max(1, CHUNK_TERMS // root.size)
-        for start in range(0, len(kels), step):
-            block = kels[start : start + step]
-            out[start : start + step] = np.sum(summand(open_, root, block * root, block), axis=1)
-        out[is_reciprocal(kels[:, 0])] = 0.0
-    return out if np.ndim(kel) else float(out[0])
-
-
-def per_energy(probes, curve) -> np.ndarray:
-    """curve(E0, kel) at every probe, in probe order.
-
-    The curve is called once per distinct probe energy E0 with the array of
-    elastic transfers kel of the probes at that energy, so open_channel_sum
-    sums each group in one call.
-    """
-    energies = np.array([p.E0 for p in probes])
-    kel = np.array([kappa_elastic(p) for p in probes])
-    out = np.zeros(len(probes))
-    for E0 in dict.fromkeys(energies.tolist()):
-        rows = energies == E0
-        out[rows] = curve(E0, kel[rows])
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            kel = kels[block][:, None]
+            out[block] = np.sum(summand(open_, root, kel * root, kel, E0), axis=1)
+    out[is_reciprocal(kels)] = 0.0
     return out
 
 

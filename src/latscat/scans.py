@@ -25,7 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bogoliubov import bog_inelastic_curve, depletion_quadratic, solve_depletion
+from .bogoliubov import (
+    bog_inelastic_curve,
+    depletion_alpha,
+    depletion_quadratic,
+    solve_depletion,
+)
 from .errors import BadParameterError, CacheError, CapacityError
 from .exact import (
     BASIS_CAP,
@@ -33,6 +38,7 @@ from .exact import (
     basis_dimension,
     diagonalize,
     exact_cross_sections,
+    ground_density_fault,
 )
 from .limits import (
     DEVIATION_FLOOR_FRACTION,
@@ -202,7 +208,11 @@ def save_spectrum(path, result: SpectrumResult, lattice: LatticeSpec) -> None:
 
 
 def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
-    """Read a cached spectrum back, validating header and payload size."""
+    """Read a cached spectrum back, validating header, payload size and content.
+
+    The values must be finite, the eigenvalues ascend from the ground state
+    and its density row pass the checks of exact.density_elements.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -231,8 +241,15 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
             f"spectrum cache {path} payload is {len(body)} bytes, expected {want}"
         )
     values = np.frombuffer(body, dtype="<f8")
+    if not np.all(np.isfinite(values)):
+        raise CacheError(f"spectrum cache {path} holds non-finite values")
     eigenvalues = values[:dim].copy()
+    if np.any(np.diff(eigenvalues) < 0):
+        raise CacheError(f"spectrum cache {path} eigenvalues do not ascend from the ground state")
     table = values[dim:].reshape(dim, lattice.L).copy()
+    fault = ground_density_fault(table[0], lattice.N, lattice.L)
+    if fault:
+        raise CacheError(f"spectrum cache {path}: {fault}")
     return SpectrumResult(
         eigenvalues=eigenvalues,
         eigenvectors=None,
@@ -252,7 +269,7 @@ def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None
         if manifest is not None:
             manifest.cache_misses += 1
         return diagonalize(lattice)
-    os.makedirs(cache_dir, exist_ok=True)
+    _make_dir(cache_dir)
     path = cache_path(cache_dir, lattice)
     if path.exists():
         try:
@@ -273,9 +290,17 @@ def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None
 # ------------------------------------------------------------------ writers
 
 
+def _make_dir(path) -> None:
+    """Create a directory and its parents; refuse a path that cannot be one."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BadParameterError(f"cannot use {path} as a directory: {exc.strerror}") from exc
+
+
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(path.parent)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     umask = os.umask(0)  # the only way to read the umask is to set it
     os.umask(umask)
@@ -348,7 +373,7 @@ class Site:
     state, the exact cross sections and each provenance's curve are
     computed once, and only when first asked for.  The exact, bogoliubov
     and sf-limit curves and the decay slopes are summed over all of the
-    site's probes at once, one open-channel sum per probe energy; the
+    site's probes at once, one open-channel sum per curve; the
     largeL and mi-limit curves and the shared elastic cross section go
     probe by probe.  The site keeps no spectrum: only the exact cross
     sections outlive the call that reads it.
@@ -358,7 +383,7 @@ class Site:
         self.config, self.manifest, self.kinds = config, manifest, kinds
         self.lattice, self.probes, self.label = lattice, probes, label
         # interaction u = U n / J of the linear decay law
-        self.u = lattice.U * lattice.n / lattice.J if u is None else u
+        self.u = lattice.u_dimensionless if u is None else u
         self.where = where  # prefixes a capacity refusal
         self._curves = {}
 
@@ -491,8 +516,7 @@ def _u_points(config, kinds, manifest):
 
 def _depletion_points(config, kinds, manifest):
     """depletion: one lattice per u on the grid, without probes."""
-    L, N = config.L, config.particle_number()
-    manifest.metadata["alpha_quadratic"] = (L**4 + 10 * L**2 - 11) / (2880.0 * N)
+    manifest.metadata["alpha_quadratic"] = depletion_alpha(config.L, config.particle_number())
     return _u_sites(config, kinds, manifest, [])
 
 

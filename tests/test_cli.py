@@ -288,6 +288,7 @@ def test_exit_2_negative_interaction(tmp_path):
         ("--mass-ratio", "nan"),
         ("--n", "inf"),
         ("--n", "1e308"),
+        ("--mass-ratio", "1e308"),
     ],
 )
 def test_exit_2_non_finite_parameter(tmp_path, capsys, flag, value):
@@ -297,6 +298,21 @@ def test_exit_2_non_finite_parameter(tmp_path, capsys, flag, value):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, path", [("--cache-dir", "afile"), ("--out", "afile/x.csv")])
+def test_exit_2_directory_that_is_a_file(tmp_path, capsys, flag, path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = main([
+        "theta-scan", "--L", "3", "--n", "1", "--theta-grid", "3", "--provenance", "exact",
+        "--out", str(tmp_path / "run.csv"), flag, str(tmp_path / path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latscat: error:") and str(afile) in err
+    assert afile.read_text() == ""
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_exit_3_capacity(tmp_path, capsys):

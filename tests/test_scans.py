@@ -159,6 +159,58 @@ def test_cache_spectrum_recovers_from_corruption(tmp_path):
     assert np.array_equal(reloaded.eigenvalues, result.eigenvalues)
 
 
+def _nan_eigenvalue(w, table):
+    w[3] = np.nan
+
+
+def _ground_above_excited(w, table):
+    w[0] = w[1] + 1.0
+
+
+def _infinite_density(w, table):
+    table[5, 2] = np.inf
+
+
+def _ground_row_off_N(w, table):
+    table[0, 0] += 0.5
+
+
+def _ground_row_not_uniform(w, table):
+    table[0, 0] += 1e-3
+    table[0, 1] -= 1e-3
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _nan_eigenvalue,
+        _ground_above_excited,
+        _infinite_density,
+        _ground_row_off_N,
+        _ground_row_not_uniform,
+    ],
+)
+def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
+    lattice = _small_lattice()
+    fresh = diagonalize(lattice)
+    path = cache_path(tmp_path, lattice)
+    save_spectrum(path, fresh, lattice)
+    head, body = path.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(body, dtype="<f8").copy()
+    dim = fresh.eigenvalues.size
+    corrupt(values[:dim], values[dim:].reshape(dim, lattice.L))
+    path.write_bytes(head + b"\n" + values.tobytes())
+
+    manifest = RunManifest(command="test", parameters={})
+    result = cache_spectrum(lattice, tmp_path, manifest)
+    assert len(manifest.warnings) == 1 and "recomputing spectrum" in manifest.warnings[0]
+    assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
+    assert np.array_equal(result.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(result.density_elements, fresh.density_elements)
+    reloaded = load_spectrum(path, lattice)
+    assert np.array_equal(reloaded.eigenvalues, fresh.eigenvalues)
+
+
 def test_cache_spectrum_counts_hits(tmp_path):
     lattice = _small_lattice()
     manifest = RunManifest(command="test", parameters={})
