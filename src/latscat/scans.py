@@ -713,10 +713,11 @@ def execute(config: ScanConfig):
     Returns (csv_path, manifest). The CSV is byte-deterministic for a given
     config; the manifest carries wall time and cache statistics.
     """
+    csv_path, manifest_path = output_paths(config)
+    _make_dir(csv_path.parent)  # refuse an unusable --out before the run, not after it
     start = time.perf_counter()
     table, manifest = run(config)
     manifest.wall_time_s = time.perf_counter() - start
-    csv_path, manifest_path = output_paths(config)
     manifest.outputs = [str(csv_path)]
     write_csv(csv_path, table, manifest_path)
     write_manifest(manifest_path, manifest)
