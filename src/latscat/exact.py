@@ -74,16 +74,19 @@ def basis_dimension(N: int, L: int) -> int:
     return math.comb(N + L - 1, N)
 
 
-def enumerate_basis(N: int, L: int, cap: int = BASIS_CAP) -> FockBasis:
-    """All occupation vectors with sum N on L sites, lexicographically ordered."""
+def enumerate_basis(N: int, L: int) -> FockBasis:
+    """All occupation vectors with sum N on L sites, lexicographically ordered.
+
+    A basis larger than BASIS_CAP is refused before it is built.
+    """
     if N < 1:
         raise BadParameterError(f"need at least one particle, got N={N}")
     if L < 2:
         raise BadParameterError(f"need at least two sites, got L={L}")
     dim = basis_dimension(N, L)
-    if dim > cap:
+    if dim > BASIS_CAP:
         raise CapacityError(
-            f"basis dimension {dim} = C({N + L - 1},{N}) exceeds the cap {cap} "
+            f"basis dimension {dim} = C({N + L - 1},{N}) exceeds the cap {BASIS_CAP} "
             f"(N={N}, L={L})"
         )
 
@@ -254,9 +257,9 @@ def ground_density_fault(ground_row, N: int, L: int) -> str | None:
     return None
 
 
-def diagonalize(lattice: LatticeSpec, cap: int = BASIS_CAP) -> SpectrumResult:
+def diagonalize(lattice: LatticeSpec) -> SpectrumResult:
     """Basis, Hamiltonian, spectrum and density elements for one lattice."""
-    basis = enumerate_basis(lattice.N, lattice.L, cap=cap)
+    basis = enumerate_basis(lattice.N, lattice.L)
     H = build_hamiltonian(basis, lattice.J, lattice.U)
     return full_spectrum(H, basis)
 

@@ -33,7 +33,6 @@ from .bogoliubov import (
 )
 from .errors import BadParameterError, CacheError, CapacityError
 from .exact import (
-    BASIS_CAP,
     SpectrumResult,
     basis_dimension,
     diagonalize,
@@ -109,9 +108,13 @@ class ScanConfig:
         return self.particle_number() / self.L
 
     def lattice(self, U: float | None = None) -> LatticeSpec:
+        """The configured lattice; refuses a filling that realizes no particle."""
+        N = self.particle_number()
+        if N < 1:
+            raise BadParameterError(f"filling n={self.n} realizes N=0 on L={self.L}")
         return LatticeSpec(
             L=self.L,
-            n=self.particle_number() / self.L,
+            n=N / self.L,
             U=self.U_over_J * self.J if U is None else U,
             J=self.J,
             V0=self.V0,
@@ -393,21 +396,12 @@ class Site:
 
     @cached_property
     def exact(self):
-        """Exact cross sections at every probe, from the guarded, cached spectrum."""
-        lat = self.lattice
-        dim = basis_dimension(lat.N, lat.L)
-        if dim > BASIS_CAP:
-            raise CapacityError(
-                f"{self.where}exact provenance needs basis dimension {dim} "
-                f"(N={lat.N}, L={lat.L}) above the cap {BASIS_CAP}"
-            )
-        spectrum = cache_spectrum(lat, self.config.cache_dir, self.manifest)
-        return exact_cross_sections(spectrum, lat, self.probes)
-
-    def each(self, fn, *head, tail=()):
-        """fn(*head, E0, theta, V0, mass_ratio, *tail) at every probe."""
-        V0 = self.lattice.V0
-        return [fn(*head, p.E0, p.theta, V0, p.mass_ratio, *tail) for p in self.probes]
+        """Exact cross sections at every probe; a capacity refusal names the site."""
+        try:
+            spectrum = cache_spectrum(self.lattice, self.config.cache_dir, self.manifest)
+        except CapacityError as exc:
+            raise CapacityError(f"{self.where}{exc}") from exc
+        return exact_cross_sections(spectrum, self.lattice, self.probes)
 
     @cached_property
     def slopes(self):
@@ -430,8 +424,11 @@ class Site:
 
     @cached_property
     def shared_elastic(self):
-        N = self.lattice.N
-        return [cs / N for cs in self.each(elastic_cs, self.lattice.L, N)]
+        lat = self.lattice
+        return [
+            elastic_cs(lat.L, lat.N, p.E0, p.theta, lat.V0, p.mass_ratio) / lat.N
+            for p in self.probes
+        ]
 
     def elastic(self, provenance):
         """Elastic cross section per particle at every probe: the exact
@@ -445,22 +442,14 @@ CURVES = {
     "exact": lambda s, lat: [cs.inelastic / lat.N for cs in s.exact],
     "bogoliubov": lambda s, lat: bog_inelastic_curve(s.state, s.probes, lat.V0),
     "sf-limit": lambda s, lat: sf_inelastic_curve(lat.L, s.probes, lat.V0, lat.J),
-    "mi-limit": lambda s, lat: s.each(mi_inelastic, lat.L, lat.n, tail=(lat.U,)),
+    "mi-limit": lambda s, lat: [
+        mi_inelastic(lat.L, lat.n, p.E0, p.theta, lat.V0, p.mass_ratio, lat.U)
+        for p in s.probes
+    ],
     "largeL": lambda s, lat: [largeL_bog_cs(s.state, p, lat.V0) for p in s.probes],
     "linear": lambda s, lat: [sl.gamma_sf - sl.lambda_ * s.u for sl in s.slopes],
 }
 PROVENANCES = tuple(CURVES)
-
-# slope's decay laws Gamma - Lambda u: name -> (L, Lambda, Gamma) at probe i;
-# the L -> infinity reference is reported as L = 0
-_DECAY_LAWS = {
-    "linear": lambda s, i, p: (s.lattice.L, s.slopes[i].lambda_, s.slopes[i].gamma_sf),
-    "largeL": lambda s, i, p: (
-        0,
-        s.slopes[i].large_l_slope,
-        largeL_sf_inelastic(p.E0, p.theta, s.lattice.V0, p.mass_ratio, s.lattice.J),
-    ),
-}
 
 
 # ----------------------------------------------------------------- layouts
@@ -500,7 +489,7 @@ def _energy_angle_grid(config, kinds, manifest):
 
 
 def _u_sites(config, kinds, manifest, probes):
-    n = config.filling()
+    n = config.lattice().n
     return [
         Site(config, manifest, kinds, config.lattice(U=u * config.J / n), probes, (u,), u)
         for u in map(float, config.u_grid)
@@ -516,8 +505,9 @@ def _u_points(config, kinds, manifest):
 
 def _depletion_points(config, kinds, manifest):
     """depletion: one lattice per u on the grid, without probes."""
+    sites = _u_sites(config, kinds, manifest, [])
     manifest.metadata["alpha_quadratic"] = depletion_alpha(config.L, config.particle_number())
-    return _u_sites(config, kinds, manifest, [])
+    return sites
 
 
 def _filling_cells(config, kinds, manifest):
@@ -569,8 +559,13 @@ def _lattice_sizes(config, kinds, manifest):
 
 
 def _slope_row(s, provenance, i):
-    p = s.probes[i]
-    L, lam, gamma = _DECAY_LAWS[provenance](s, i, p)
+    # the decay law Gamma - Lambda u; the L -> infinity reference is reported as L = 0
+    p, slope, lat = s.probes[i], s.slopes[i], s.lattice
+    if provenance == "linear":
+        L, lam, gamma = lat.L, slope.lambda_, slope.gamma_sf
+    else:
+        gamma = largeL_sf_inelastic(p.E0, p.theta, lat.V0, p.mass_ratio, lat.J)
+        L, lam = 0, slope.large_l_slope
     flagged = 4 * math.sin(kappa_elastic(p) / 2) ** 2 < SLOPE_FLAG_THRESHOLD
     return [p.theta, L, provenance, lam, gamma, flagged]
 
@@ -598,7 +593,8 @@ class Command:
     loop.  `row(site, provenance, i)` builds the CSV row at probe i; a table
     without a theta column has one row per site and provenance (i is None).
     A table that leads with theta groups its rows by angle across sites.
-    A run over the single configured lattice reports it in the manifest.
+    Only a table with an L column takes several L.  A run whose only site
+    has no label, the configured lattice, reports that site in the manifest.
     """
 
     help: str
@@ -607,8 +603,6 @@ class Command:
     layout: Callable
     row: Callable
     default: tuple | None = None  # None: every allowed provenance
-    single_lattice: bool = False
-    several_L: bool = False
 
 
 COMMANDS = {
@@ -619,7 +613,6 @@ COMMANDS = {
         _one_lattice,
         lambda s, p, i: [s.probes[i].theta, p, s.elastic(p)[i], s.curve(p)[i]],
         default=("bogoliubov",),
-        single_lattice=True,
     ),
     "u-scan": Command(
         "interaction sweep of the inelastic cross section at fixed angle",
@@ -636,7 +629,6 @@ COMMANDS = {
         ("E0", "theta", "provenance", "inelastic"),
         _energy_angle_grid,
         lambda s, p, i: [s.probes[i].E0, s.probes[i].theta, p, s.curve(p)[i]],
-        single_lattice=True,
     ),
     "depletion": Command(
         "condensate depletion vs interaction with the quadratic law",
@@ -661,7 +653,6 @@ COMMANDS = {
         ("theta", "L", "provenance", "lambda", "gamma_sf", "flagged"),
         _lattice_sizes,
         _slope_row,
-        several_L=True,
     ),
     "compare": Command(
         "exact vs quasiparticle curves with per-angle deviation",
@@ -669,7 +660,6 @@ COMMANDS = {
         ("theta", "provenance", "elastic", "inelastic", "deviation"),
         _one_lattice,
         _compare_row,
-        single_lattice=True,
     ),
 }
 
@@ -683,7 +673,7 @@ def run(config: ScanConfig):
     command = COMMANDS.get(config.command)
     if command is None:
         raise BadParameterError(f"unknown command {config.command!r}")
-    if not command.several_L and len(config.L_values) != 1:
+    if "L" not in command.columns and len(config.L_values) != 1:
         raise BadParameterError(
             f"{config.command} takes a single L, got {list(config.L_values)}"
         )
@@ -702,7 +692,7 @@ def run(config: ScanConfig):
     if command.columns[0] == "theta":
         steps.sort(key=lambda step: step[1])  # stable: by angle, then site
     rows = [command.row(site, kind, i) for site, i in steps for kind in site.kinds]
-    if command.single_lattice:
+    if len(sites) == 1 and not sites[0].label:
         _report(sites[0], manifest)
     return ScanTable(columns=list(command.columns), rows=rows), manifest
 

@@ -413,6 +413,20 @@ def test_exit_2_deviation_map_filling_below_first_step(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, L, n",
+    [("u-scan", "2", "0.2"), ("u-scan", "4", "0.125"), ("depletion", "2", "0.2"),
+     ("theta-scan", "2", "0.2")],
+)
+def test_exit_2_filling_that_realizes_no_particle(tmp_path, capsys, command, L, n):
+    # round(n*L) = 0 particles: refused by name, not a ZeroDivisionError
+    code, out, _ = run_cli(tmp_path, command, "--L", L, "--n", n, "--u-grid", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latscat: error:") and f"n={n}" in err and f"L={L}" in err
+    assert not out.exists()
+
+
 def test_negative_explicit_angles_need_the_equals_form(tmp_path):
     code, out, manifest = run_cli(
         tmp_path, "theta-scan", "--L", "4", "--n", "1", "--theta-grid=-0.5,0.5"

@@ -64,11 +64,12 @@ def test_enumerate_basis_index_roundtrip():
     assert np.all(basis.states.sum(axis=1) == 4)
 
 
-def test_enumerate_basis_cap():
+def test_enumerate_basis_cap(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_basis(40, 5)  # C(44,40) = 135751
+    monkeypatch.setattr(exact, "BASIS_CAP", 1000)
     with pytest.raises(CapacityError):
-        enumerate_basis(10, 5, cap=1000)
+        enumerate_basis(10, 5)
 
 
 def test_enumerate_basis_bad_parameters():

@@ -369,6 +369,14 @@ def test_deviation_map_names_failing_cell():
         run(cfg)
 
 
+def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
+    # on L = 3 only the n = 1.0 cell (N = 3, dimension 10) needs 3 * 8 * 10^2 = 2400 bytes
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2399)
+    cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_points=3)
+    with pytest.raises(CapacityError, match=r"cell n=1.0, U/J=1.0: .* 2400 bytes"):
+        run(cfg)
+
+
 def test_slope_emits_reference_rows_and_markers():
     cfg = ScanConfig(
         command="slope", L_values=(5, 9), E0=2.0, theta_values=(0.01, 0.7)

@@ -1,9 +1,9 @@
 """A site's curves equal the per-probe public functions, bit for bit.
 
 scans.Site sums the exact, bogoliubov and sf-limit curves and the decay
-slopes over all of its probes at once, one open-channel sum per probe
-energy, while exact_cross_section, bog_inelastic_cs, sf_inelastic and
-slope_lambda evaluate one probe.  Within an energy group every probe sums
+slopes over all of its probes at once, one open-channel sum per curve that
+groups the probes by energy itself, while exact_cross_section,
+bog_inelastic_cs, sf_inelastic and slope_lambda evaluate one probe.  Within an energy group every probe sums
 the same compacted open channels in the same order, so the two must agree
 with ``==``, not to a tolerance: the CSVs and the benchmark's U = 0
 identities depend on it.  The draws mix probe energies in one site (as the
