@@ -83,12 +83,7 @@ def enumerate_basis(N: int, L: int) -> FockBasis:
         raise BadParameterError(f"need at least one particle, got N={N}")
     if L < 2:
         raise BadParameterError(f"need at least two sites, got L={L}")
-    dim = basis_dimension(N, L)
-    if dim > BASIS_CAP:
-        raise CapacityError(
-            f"basis dimension {dim} = C({N + L - 1},{N}) exceeds the cap {BASIS_CAP} "
-            f"(N={N}, L={L})"
-        )
+    dim = _refuse_past_cap(N, L)
 
     # Stars and bars: the gaps between L-1 bars among N+L-1 slots are the
     # occupations; bars in lexicographic order give states in that order.
@@ -97,6 +92,42 @@ def enumerate_basis(N: int, L: int) -> FockBasis:
     states = np.diff(bars, axis=1, prepend=-1, append=N + L - 1) - 1
     index = {tuple(map(int, s)): i for i, s in enumerate(states)}
     return FockBasis(N=N, L=L, states=states, index=index)
+
+
+def _refuse_past_cap(N: int, L: int) -> int:
+    """Dimension of the (N, L) basis; CapacityError past BASIS_CAP."""
+    dim = basis_dimension(N, L)
+    if dim > BASIS_CAP:
+        raise CapacityError(
+            f"basis dimension {dim} = C({N + L - 1},{N}) exceeds the cap {BASIS_CAP} "
+            f"(N={N}, L={L})"
+        )
+    return dim
+
+
+def dense_bytes(dim: int) -> int:
+    """Memory one dense diagonalization of dimension dim holds at once, in bytes."""
+    return DENSE_MATRICES * 8 * dim * dim
+
+
+def _refuse_past_memory(dim: int) -> None:
+    """CapacityError when a dense diagonalization of dimension dim would not fit
+    in the available memory; no check where that cannot be read."""
+    need = dense_bytes(dim)
+    available = _available_bytes()
+    if available is not None and need > available:
+        raise CapacityError(
+            f"dense diagonalization of dimension {dim} needs about {need} bytes, "
+            f"but only {available} bytes of memory are available"
+        )
+
+
+def require_capacity(N: int, L: int) -> int:
+    """Dimension of the (N, L) basis, once it passes both refusals of diagonalize:
+    BASIS_CAP and the memory gate of build_hamiltonian."""
+    dim = _refuse_past_cap(N, L)
+    _refuse_past_memory(dim)
+    return dim
 
 
 def _available_bytes() -> int | None:
@@ -127,13 +158,7 @@ def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
     if U < 0:
         raise BadParameterError(f"interaction must be non-negative, got U={U}")
     dim, L = basis.states.shape
-    need = DENSE_MATRICES * 8 * dim * dim
-    available = _available_bytes()
-    if available is not None and need > available:
-        raise CapacityError(
-            f"dense diagonalization of dimension {dim} needs about {need} bytes, "
-            f"but only {available} bytes of memory are available"
-        )
+    _refuse_past_memory(dim)
     hop = np.zeros((dim, dim))
     for row, occ in enumerate(basis.states):
         for j in range(L):
@@ -158,8 +183,11 @@ class SpectrumResult:
 
     ``density_elements[e, j]`` holds <e| n_j |g>; the ground row is the
     ground-state density profile.  ``eigenvectors`` is None when the result
-    was reconstructed from a cache file (the cross section does not need it).
-    Instances are treated as immutable once construction has filled them.
+    was reconstructed from a cache file or handed back by a worker process
+    (the cross section does not need it).  ``residual`` (the worst eigenpair
+    residual over ||H||) and ``ground_gap`` (E_1 - E_0) are the checks of
+    full_spectrum, None where the spectrum was not solved here.  Instances
+    are treated as immutable once construction has filled them.
     """
 
     eigenvalues: np.ndarray
@@ -167,6 +195,8 @@ class SpectrumResult:
     ground_energy: float
     ground_index: int
     density_elements: np.ndarray | None = None
+    residual: float | None = None
+    ground_gap: float | None = None
 
 
 def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResult:
@@ -199,9 +229,10 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
             f"{RESIDUAL_TOL * norm:.3e}"
         )
 
+    gap = None
     if dim > 1:
         spread = w[-1] - w[0]
-        gap = w[1] - w[0]
+        gap = float(w[1] - w[0])
         if spread <= 0 or gap < DEGENERACY_TOL * spread:
             raise DegenerateGroundStateError(
                 f"ground-state gap {gap:.3e} is below {DEGENERACY_TOL:.0e} of the "
@@ -213,6 +244,8 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
         eigenvectors=V,
         ground_energy=float(w[0]),
         ground_index=0,
+        residual=float(worst / norm),
+        ground_gap=gap,
     )
     if basis is not None:
         density_elements(result, basis)

@@ -2,7 +2,11 @@
 
 One runner, `run`, serves every command from the COMMANDS table: an outer
 loop over lattice configurations and an inner loop over probes, with each
-provenance's curve taken from the CURVES registry.  It returns a
+provenance's curve taken from the CURVES registry.  Before the loops, it
+gathers the lattices whose spectra its sites will read, loads the cached
+ones, and solves every miss in single-BLAS-thread worker processes
+(latscat.workers); the library functions of latscat.exact stay in-process.
+It returns a
 rectangular ScanTable with an explicit provenance column plus manifest
 metadata; the writers emit byte-deterministic CSV
 (17 significant digits) whose first line points at the JSON run manifest.
@@ -24,18 +28,17 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .bogoliubov import (
     bog_inelastic_curve,
     depletion_alpha,
     depletion_quadratic,
     solve_depletion,
 )
-from .errors import BadParameterError, CacheError, CapacityError
+from .errors import BadParameterError, CacheError
 from .exact import (
     SpectrumResult,
     basis_dimension,
-    diagonalize,
     exact_cross_sections,
     ground_density_fault,
 )
@@ -162,8 +165,26 @@ class RunManifest:
     metadata: dict = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
+    # where the dense solves went: how many, in how many worker processes,
+    # their wall seconds, the worst eigenpair residual over ||H|| and the
+    # smallest ground-state gap E_1 - E_0 among them
+    spectra: dict = field(
+        default_factory=lambda: {
+            "solved": 0, "workers": 0, "solve_s": 0.0,
+            "worst_residual": None, "min_ground_gap": None,
+        }
+    )
     wall_time_s: float = 0.0
     version: str = __version__
+
+    def record_solves(self, results, worker_count: int, seconds: float) -> None:
+        """Fold one batch of solved spectra into the spectra block."""
+        block = self.spectra
+        block["solved"] += len(results)
+        block["workers"] = max(block["workers"], worker_count)
+        block["solve_s"] += seconds
+        block["worst_residual"] = _fold(max, block["worst_residual"], [r.residual for r in results])
+        block["min_ground_gap"] = _fold(min, block["min_ground_gap"], [r.ground_gap for r in results])
 
     def as_dict(self) -> dict:
         return {
@@ -173,9 +194,16 @@ class RunManifest:
             "warnings": self.warnings,
             "metadata": self.metadata,
             "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
+            "spectra": self.spectra,
             "wall_time_s": self.wall_time_s,
             "version": self.version,
         }
+
+
+def _fold(pick, old, new):
+    """pick() over old and the new values, ignoring None; None when nothing is left."""
+    values = [v for v in (old, *new) if v is not None]
+    return pick(values) if values else None
 
 
 # ------------------------------------------------------------ spectrum cache
@@ -262,32 +290,64 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
     )
 
 
-def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None = None):
-    """Spectrum for a lattice, going through the on-disk cache.
+def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None, where=None):
+    """Spectra of the lattices, in order, going through the on-disk cache.
 
-    Corrupt cache entries are reported as warnings and transparently
-    recomputed (and rewritten).  Returns the SpectrumResult.
+    Cached spectra are loaded; every other lattice is solved once, in worker
+    processes (workers.solve_spectra), and written back as it arrives.
+    Corrupt cache entries are reported as warnings and recomputed.  Hits
+    and misses count as if the lattices were asked for one by one: a repeat
+    is a hit when there is a cache directory and a miss when there is none.
+    ``where[i]`` prefixes a capacity refusal of lattice i.
     """
-    if cache_dir is None:
-        if manifest is not None:
-            manifest.cache_misses += 1
-        return diagonalize(lattice)
-    _make_dir(cache_dir)
-    path = cache_path(cache_dir, lattice)
-    if path.exists():
-        try:
-            result = load_spectrum(path, lattice)
-            if manifest is not None:
+    if not lattices:
+        return []
+    manifest = manifest or RunManifest(command="", parameters={})
+    where = where or [""] * len(lattices)
+    if cache_dir is not None:
+        _make_dir(cache_dir)
+    keys = [_cache_key(lat.N, lat.L, lat.U / lat.J, lat.J) for lat in lattices]
+    first = {}  # the first index of each distinct lattice
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    spectra = [None] * len(lattices)
+    misses = []
+    for i, lattice in enumerate(lattices):
+        if first[keys[i]] != i:
+            if cache_dir is None:
+                manifest.cache_misses += 1
+            else:
                 manifest.cache_hits += 1
-            return result
-        except CacheError as exc:
-            if manifest is not None:
+            continue
+        path = cache_path(cache_dir, lattice) if cache_dir is not None else None
+        if path is not None and path.exists():
+            try:
+                spectra[i] = load_spectrum(path, lattice)
+                manifest.cache_hits += 1
+                continue
+            except CacheError as exc:
                 manifest.warnings.append(f"recomputing spectrum: {exc}")
-    result = diagonalize(lattice)
-    save_spectrum(path, result, lattice)
-    if manifest is not None:
+        misses.append(i)
         manifest.cache_misses += 1
-    return result
+
+    if misses:
+        def done(j, result):
+            i = misses[j]
+            spectra[i] = result
+            if cache_dir is not None:
+                save_spectrum(cache_path(cache_dir, lattices[i]), result, lattices[i])
+
+        start = time.perf_counter()
+        count = workers.solve_spectra(
+            [lattices[i] for i in misses], [where[i] for i in misses], done
+        )
+        manifest.record_solves([spectra[i] for i in misses], count, time.perf_counter() - start)
+    return [spectra[first[key]] for key in keys]
+
+
+def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None = None):
+    """Spectrum for one lattice: the one-lattice case of cache_spectra."""
+    return cache_spectra([lattice], cache_dir, manifest)[0]
 
 
 # ------------------------------------------------------------------ writers
@@ -378,8 +438,11 @@ class Site:
     and sf-limit curves and the decay slopes are summed over all of the
     site's probes at once, one open-channel sum per curve; the
     largeL and mi-limit curves and the shared elastic cross section go
-    probe by probe.  The site keeps no spectrum: only the exact cross
-    sections outlive the call that reads it.
+    probe by probe.  `run` hands a site that reads a spectrum its exact
+    cross sections, from one batch of spectra for all of its sites;
+    a site built on its own asks cache_spectrum when first asked.  The
+    site keeps no spectrum: only the exact cross sections outlive the call
+    that reads it.
     """
 
     def __init__(self, config, manifest, kinds, lattice, probes, label=(), u=None, where=""):
@@ -396,11 +459,8 @@ class Site:
 
     @cached_property
     def exact(self):
-        """Exact cross sections at every probe; a capacity refusal names the site."""
-        try:
-            spectrum = cache_spectrum(self.lattice, self.config.cache_dir, self.manifest)
-        except CapacityError as exc:
-            raise CapacityError(f"{self.where}{exc}") from exc
+        """Exact cross sections at every probe."""
+        spectrum = cache_spectrum(self.lattice, self.config.cache_dir, self.manifest)
         return exact_cross_sections(spectrum, self.lattice, self.probes)
 
     @cached_property
@@ -687,6 +747,17 @@ def run(config: ScanConfig):
     manifest.parameters["provenance"] = list(kinds)
 
     sites = command.layout(config, kinds, manifest)
+    # every exact curve reads a spectrum, and compare and deviation-map
+    # measure every curve against the exact one
+    reading = [
+        s for s in sites
+        if "exact" in s.kinds or config.command in ("compare", "deviation-map")
+    ]
+    spectra = cache_spectra(
+        [s.lattice for s in reading], config.cache_dir, manifest, [s.where for s in reading]
+    )
+    for site, spectrum in zip(reading, spectra):
+        site.exact = exact_cross_sections(spectrum, site.lattice, site.probes)
     per_angle = "theta" in command.columns
     steps = [(s, i) for s in sites for i in (range(len(s.probes)) if per_angle else (None,))]
     if command.columns[0] == "theta":

@@ -170,15 +170,19 @@ def test_quasiparticle_run_loads_no_scipy(tmp_path):
     assert out.exists()
 
 
-def test_diagonalizing_run_loads_scipy(tmp_path):
+def test_diagonalizing_run_leaves_scipy_to_its_worker(tmp_path):
+    # the dense solve runs in a worker process, which loads SciPy itself
     out = tmp_path / "exact.csv"
     code = (
         "from latscat.cli import main\n"
         "assert main(['theta-scan', '--provenance', 'exact', '--L', '3', '--N', '3',"
         f" '--theta-grid', '5', '--out', {str(out)!r}]) == 0"
     )
-    assert scipy_loaded_after(code)
-    assert out.exists()
+    assert not scipy_loaded_after(code)
+    rows = read_rows(out)
+    assert [r["provenance"] for r in rows] == ["exact"] * 5
+    # theta = 0 sits on a reciprocal lattice vector, where the inelastic part vanishes
+    assert [float(r["inelastic"]) > 0 for r in rows] == [False, True, True, True, True]
 
 
 def test_version_flag():
