@@ -44,6 +44,7 @@ from .exact import (
     enumerate_basis,
     exact_cross_section,
     full_spectrum,
+    sector_spectrum,
 )
 from .bogoliubov import (
     BogoliubovState,
@@ -109,6 +110,7 @@ __all__ = [
     "enumerate_basis",
     "exact_cross_section",
     "full_spectrum",
+    "sector_spectrum",
     # quasiparticle theory
     "BogoliubovState",
     "bog_inelastic_cs",

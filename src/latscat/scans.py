@@ -4,9 +4,8 @@ One runner, `run`, serves every command from the COMMANDS table: an outer
 loop over lattice configurations and an inner loop over probes, with each
 provenance's curve taken from the CURVES registry.  Before the loops, it
 gathers the lattices whose spectra its sites will read, loads the cached
-ones, and solves every miss in single-BLAS-thread worker processes
-(latscat.workers); the library functions of latscat.exact stay in-process.
-It returns a
+ones, checks every miss against the capacity refusals, and then solves the
+misses one by one in momentum sectors (exact.sector_spectrum).  It returns a
 rectangular ScanTable with an explicit provenance column plus manifest
 metadata; the writers emit byte-deterministic CSV
 (17 significant digits) whose first line points at the JSON run manifest.
@@ -22,25 +21,28 @@ import os
 import tempfile
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, workers
+from . import __version__
 from .bogoliubov import (
     bog_inelastic_curve,
     depletion_alpha,
     depletion_quadratic,
     solve_depletion,
 )
-from .errors import BadParameterError, CacheError
+from .errors import BadParameterError, CacheError, CapacityError
 from .exact import (
     SpectrumResult,
     basis_dimension,
     exact_cross_sections,
     ground_density_fault,
+    require_capacity,
+    sector_spectrum,
 )
 from .limits import (
     DEVIATION_FLOOR_FRACTION,
@@ -165,23 +167,21 @@ class RunManifest:
     metadata: dict = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    # where the dense solves went: how many, in how many worker processes,
-    # their wall seconds, the worst eigenpair residual over ||H|| and the
-    # smallest ground-state gap E_1 - E_0 among them
+    # the spectra this run solved: how many, their wall seconds, the worst
+    # eigenpair residual over ||H|| and the smallest ground-state gap
+    # E_1 - E_0 among them
     spectra: dict = field(
         default_factory=lambda: {
-            "solved": 0, "workers": 0, "solve_s": 0.0,
-            "worst_residual": None, "min_ground_gap": None,
+            "solved": 0, "solve_s": 0.0, "worst_residual": None, "min_ground_gap": None,
         }
     )
     wall_time_s: float = 0.0
     version: str = __version__
 
-    def record_solves(self, results, worker_count: int, seconds: float) -> None:
+    def record_solves(self, results, seconds: float) -> None:
         """Fold one batch of solved spectra into the spectra block."""
         block = self.spectra
         block["solved"] += len(results)
-        block["workers"] = max(block["workers"], worker_count)
         block["solve_s"] += seconds
         block["worst_residual"] = _fold(max, block["worst_residual"], [r.residual for r in results])
         block["min_ground_gap"] = _fold(min, block["min_ground_gap"], [r.ground_gap for r in results])
@@ -293,8 +293,9 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
 def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None, where=None):
     """Spectra of the lattices, in order, going through the on-disk cache.
 
-    Cached spectra are loaded; every other lattice is solved once, in worker
-    processes (workers.solve_spectra), and written back as it arrives.
+    Cached spectra are loaded; every other lattice passes the capacity
+    refusals of exact.require_capacity before any is solved, then each is
+    solved once in this process (exact.sector_spectrum) and written back.
     Corrupt cache entries are reported as warnings and recomputed.  Hits
     and misses count as if the lattices were asked for one by one: a repeat
     is a hit when there is a cache directory and a miss when there is none.
@@ -330,19 +331,27 @@ def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None, wher
         misses.append(i)
         manifest.cache_misses += 1
 
+    for i in misses:
+        with _named(where[i]):
+            require_capacity(lattices[i].N, lattices[i].L)
+    start = time.perf_counter()
+    for i in misses:
+        with _named(where[i]):
+            spectra[i] = sector_spectrum(lattices[i])
+        if cache_dir is not None:
+            save_spectrum(cache_path(cache_dir, lattices[i]), spectra[i], lattices[i])
     if misses:
-        def done(j, result):
-            i = misses[j]
-            spectra[i] = result
-            if cache_dir is not None:
-                save_spectrum(cache_path(cache_dir, lattices[i]), result, lattices[i])
-
-        start = time.perf_counter()
-        count = workers.solve_spectra(
-            [lattices[i] for i in misses], [where[i] for i in misses], done
-        )
-        manifest.record_solves([spectra[i] for i in misses], count, time.perf_counter() - start)
+        manifest.record_solves([spectra[i] for i in misses], time.perf_counter() - start)
     return [spectra[first[key]] for key in keys]
+
+
+@contextmanager
+def _named(where):
+    """Prefix a capacity refusal with the cell it names."""
+    try:
+        yield
+    except CapacityError as exc:
+        raise CapacityError(f"{where}{exc}") from exc
 
 
 def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None = None):

@@ -170,8 +170,8 @@ def test_quasiparticle_run_loads_no_scipy(tmp_path):
     assert out.exists()
 
 
-def test_diagonalizing_run_leaves_scipy_to_its_worker(tmp_path):
-    # the dense solve runs in a worker process, which loads SciPy itself
+def test_diagonalizing_run_loads_no_scipy(tmp_path):
+    # a run solves its spectra in sectors with numpy; only the dense oracle needs SciPy
     out = tmp_path / "exact.csv"
     code = (
         "from latscat.cli import main\n"
@@ -328,7 +328,8 @@ def test_exit_3_capacity(tmp_path, capsys):
 
 
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
-    # dimension C(5,3) = 10 needs about 3 * 8 * 10^2 = 2400 bytes
+    # dimension C(5,3) = 10 in 4 orbits: the sector solve needs about
+    # 6 * 16 * 4^2 + 5 * 8 * 10 * 3 = 2736 bytes
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1000)
     code, out, _ = run_cli(
         tmp_path,
@@ -337,7 +338,7 @@ def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "capacity" in err and "2400 bytes" in err and "1000 bytes" in err
+    assert "capacity" in err and "2736 bytes" in err and "1000 bytes" in err
     assert not out.exists()
 
 

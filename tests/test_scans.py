@@ -11,7 +11,8 @@ from numpy.testing import assert_allclose
 from latscat import LatticeSpec, ProbeSpec
 from latscat.bogoliubov import bog_inelastic_cs, solve_depletion
 from latscat.errors import BadParameterError, CacheError, CapacityError
-from latscat.exact import diagonalize
+from latscat import exact
+from latscat.exact import diagonalize, sector_spectrum
 from latscat.limits import slope_lambda
 from latscat.scans import (
     RunManifest,
@@ -192,7 +193,7 @@ def _ground_row_not_uniform(w, table):
 )
 def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
     lattice = _small_lattice()
-    fresh = diagonalize(lattice)
+    fresh = sector_spectrum(lattice)  # the solver a run uses
     path = cache_path(tmp_path, lattice)
     save_spectrum(path, fresh, lattice)
     head, body = path.read_bytes().split(b"\n", 1)
@@ -370,11 +371,25 @@ def test_deviation_map_names_failing_cell():
 
 
 def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
-    # on L = 3 only the n = 1.0 cell (N = 3, dimension 10) needs 3 * 8 * 10^2 = 2400 bytes
-    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2399)
+    # on L = 3 only the n = 1.0 cell (N = 3, dimension 10 in 4 orbits) needs
+    # 6 * 16 * 4^2 + 5 * 8 * 10 * 3 = 2736 bytes for its sector solve
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2735)
     cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_points=3)
-    with pytest.raises(CapacityError, match=r"cell n=1.0, U/J=1.0: .* 2400 bytes"):
+    with pytest.raises(CapacityError, match=r"cell n=1.0, U/J=1.0: .* 2736 bytes.* 2735 bytes"):
         run(cfg)
+
+
+def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):
+    # dimension 1001 in 201 orbits: about 4.1 MB in sectors, 24 MB dense
+    available = 10 * 2**20
+    assert exact.sector_bytes(10, 5) < available < exact.dense_bytes(1001)
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
+    cfg = ScanConfig(command="u-scan", L_values=(5,), n=2.0, u_grid=(2.0,), cache_dir=str(tmp_path))
+    table, manifest = run(cfg)
+    assert manifest.spectra["solved"] == 1
+    assert all(v > 0 for v in table.column("inelastic"))
+    with pytest.raises(CapacityError, match=f"{exact.dense_bytes(1001)} bytes"):
+        diagonalize(LatticeSpec(L=5, n=2.0, U=0.0065, J=0.0065))
 
 
 def test_slope_emits_reference_rows_and_markers():
