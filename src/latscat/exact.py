@@ -12,14 +12,16 @@ goes through model.open_channel_sum, which takes the probes of a curve at
 once; non-finite parameters are refused.
 
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
-and hands it to SciPy's eigensolver; it is the oracle.  ``sector_spectrum``
-splits the chain into its lattice-momentum sectors K = 2 pi m / L, built
-straight from the representatives of the translation orbits (Sandvik,
-arXiv:1101.3281), so each block has about dim / L states.  Both share one
-hop enumeration, which ranks Fock states by a combinatorial code (Zhang &
-Dong, arXiv:1102.4006), and both return the same real table: an eigenstate
-of momentum K has <e|n_j|g> = e^{iKj} <e|n_0|g>, which the sector solver
-writes as a real row per state.
+and hands it to SciPy's eigensolver; it is the oracle, and its result
+carries the dim x L table of <e|n_j|g>.  ``sector_spectrum`` splits the
+chain into its lattice-momentum sectors K = 2 pi m / L, built straight
+from the representatives of the translation orbits (Sandvik,
+arXiv:1101.3281), so each block has about dim / L states, and every block
+is real.  Both share one hop enumeration, which ranks Fock states by a
+combinatorial code (Zhang & Dong, arXiv:1102.4006).  An eigenstate of
+momentum K has <e|n_j|g> = e^{iKj} c with c = <e|n_0|g>, so the sector
+solver returns one channel per eigenstate instead of a table: its energy,
+its momentum K and its weight |c|^2.
 """
 from __future__ import annotations
 
@@ -41,6 +43,7 @@ from .model import (
     ProbeSpec,
     form_factor,
     kappa_elastic,
+    lattice_sum_sq,
     open_channel_sum,
 )
 
@@ -52,10 +55,10 @@ BASIS_CAP = 30_000
 # once: the Hamiltonian, the eigenvectors and the solver's workspace.
 DENSE_MATRICES = 3
 
-# The sector solve holds about this many complex matrices of its largest
+# The sector solve holds about this many real matrices of its largest
 # block at once (the block beside numpy.linalg.eigh's copy, workspaces and
 # eigenvectors), and this many dim x L arrays of 8 bytes (the basis, its
-# rotations and their ranks, the table).  Measured peaks: 5.3 blocks at
+# rotations, reflections and their ranks).  Measured peaks: 5.4 blocks at
 # 2704 orbits (L = N = 9), and 5.0 arrays at L = 244, N = 2.
 SECTOR_MATRICES = 6
 BASIS_ARRAYS = 5
@@ -65,6 +68,10 @@ BASIS_ARRAYS = 5
 DEGENERACY_TOL = 1e-10
 
 RESIDUAL_TOL = 1e-8
+
+# The f-sum rule of every sector solve must hold to this fraction of its
+# rounding scale, ||H|| S0(K) (see fsum_residual).
+FSUM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,9 +179,9 @@ def orbit_count(N: int, L: int) -> int:
 
 def sector_bytes(N: int, L: int) -> int:
     """Memory the sector solve of (N, L) holds at once, in bytes: SECTOR_MATRICES
-    complex matrices the size of the largest block, and BASIS_ARRAYS dim x L
+    real matrices the size of the largest block, and BASIS_ARRAYS dim x L
     arrays."""
-    blocks = SECTOR_MATRICES * 16 * orbit_count(N, L) ** 2
+    blocks = SECTOR_MATRICES * 8 * orbit_count(N, L) ** 2
     return blocks + BASIS_ARRAYS * 8 * basis_dimension(N, L) * L
 
 
@@ -259,15 +266,18 @@ def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
 
 @dataclass
 class SpectrumResult:
-    """Full spectrum plus the density matrix elements against the ground state.
+    """Full spectrum plus what the cross section needs of each eigenstate.
 
-    ``density_elements[e, j]`` holds <e| n_j |g>; the ground row is the
-    ground-state density profile.  ``eigenvectors`` is None when the result
-    was reconstructed from a cache file or solved in sectors (the cross
-    section does not need it).  ``residual`` (the worst eigenpair residual
-    over ||H||) and ``ground_gap`` (E_1 - E_0) are the checks of the solve,
-    None where the spectrum was not solved here.  Instances
-    are treated as immutable once construction has filled them.
+    A dense solve fills ``density_elements[e, j]`` = <e| n_j |g>, whose
+    ground row is the ground-state density profile.  A sector solve fills
+    the channels instead: ``momenta[e]``, the lattice momentum K of state e
+    in (-pi, pi], and ``weights[e]`` = |<e|n_0|g>|^2.  ``eigenvectors`` is
+    None when the result was reconstructed from a cache file or solved in
+    sectors (the cross section does not need it).  ``residual`` (the worst
+    eigenpair residual over ||H||), ``ground_gap`` (E_1 - E_0) and
+    ``fsum_residual`` (the worst f-sum residual, sector solves only) are
+    the checks of the solve, None where the spectrum was not solved here.
+    Instances are treated as immutable once construction has filled them.
     """
 
     eigenvalues: np.ndarray
@@ -277,6 +287,9 @@ class SpectrumResult:
     density_elements: np.ndarray | None = None
     residual: float | None = None
     ground_gap: float | None = None
+    momenta: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    fsum_residual: float | None = None
 
 
 def _worst_residual(H: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
@@ -384,7 +397,13 @@ def ground_density_fault(ground_row, N: int, L: int) -> str | None:
 
 
 def diagonalize(lattice: LatticeSpec) -> SpectrumResult:
-    """Basis, Hamiltonian, spectrum and density elements for one lattice."""
+    """Basis, Hamiltonian, spectrum and density elements for one lattice.
+
+    The memory gate of build_hamiltonian is checked before the basis is
+    built, so a refused lattice allocates nothing.
+    """
+    dim = _refuse_past_cap(lattice.N, lattice.L)
+    _refuse_past_memory(f"dense diagonalization of dimension {dim}", dense_bytes(dim))
     basis = enumerate_basis(lattice.N, lattice.L)
     H = build_hamiltonian(basis, lattice.J, lattice.U)
     return full_spectrum(H, basis)
@@ -411,27 +430,57 @@ def _orbits(basis: FockBasis):
     return reps, period, orbit, shift
 
 
+def _parity_basis(K: float, members, position, mirror, turned):
+    """The reflection-even semi-momentum basis of sector 0 < K < pi.
+
+    With |a,K> = p_a^{-1/2} sum_d e^{-iKd} T^d |a> and the reflection
+    P: n_j -> n_{-j}, P|a> = T^s |b> maps orbit a to orbit b = mirror[a],
+    s = turned[a].  P C (C the complex conjugation) maps |a,K> to
+    e^{iKs} |b,K>, so the vectors it fixes, e^{iKs/2} |a,K> when b = a and
+    e^{iKs/2} (|a,K> +- |b,K>) (1, i) / sqrt(2) for a pair a < b, are an
+    orthonormal basis in which the sector's block is real.  (1 + P) takes
+    them to the real states sqrt(2/p) sum_d cos(K(d - s/2)) T^d |a> and
+    their cos and sin pair combinations: the even-parity semi-momentum
+    states of the K, -K pair, whose odd partners share the spectrum.
+
+    Returns, for each member at position x, the two columns of the basis
+    vectors it enters and its coefficients there (the second is 0 when the
+    orbit is its own mirror image).
+    """
+    x = np.arange(members.size)
+    partner = position[mirror[members]]
+    low, high = np.minimum(x, partner), np.maximum(x, partner)
+    phase = np.exp(0.5j * K * turned[members[low]])
+    pair = x != partner
+    scale = np.where(pair, math.sqrt(0.5), 1.0) * phase
+    coef = np.stack([scale, scale * np.where(x == low, 1j, -1j) * pair], axis=1)
+    return np.stack([low, high], axis=1), coef
+
+
 def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
-    """The spectrum and density table of one lattice, solved in momentum sectors.
+    """The spectrum and scattering channels of one lattice, solved in momentum sectors.
 
     Sector K = 2 pi m / L holds one state |r, K> per translation orbit r
     whose period p has m p = 0 mod L.  The hops out of each representative
-    give its block, Hermitian (real at K = 0 and pi), which
-    numpy.linalg.eigh solves.  Only m = 0..L//2 are solved: sector L - m is
-    the complex conjugate of sector m.
+    give its block; at K = 0 and pi it is real in these states, and for
+    0 < K < pi it is taken real in the reflection-even semi-momentum basis
+    (_parity_basis).  numpy.linalg.eigh solves each block.  Only
+    m = 0..L//2 are solved: sector -K has the spectrum of sector K.
 
-    The ground state g is the lowest of K = 0, and a state e of sector K
-    has <e|n_j|g> = e^{iKj} c with c = <e|n_0|g>.  With the phase of c
-    taken out, the table holds the row |c| at K = 0, |c| (-1)^j at K = pi,
-    and the rows sqrt(2)|c| cos(Kj) and sqrt(2)|c| sin(Kj) for a pair +-K:
-    real rows of a valid eigenbasis, with the cross sections of the complex
-    ones, and canonical, since no eigenvector phase reaches them.  States
-    are in ascending order of energy.
+    The ground state g is the lowest of K = 0, and every eigenstate e is
+    one channel: its energy, its momentum K and its weight |c|^2 with
+    c = <e|n_0|g>, since <e|n_j|g> = e^{iKj} c.  The ground channel has
+    c = N/L; every other K = 0 weight is exactly 0, because
+    sum_j n_j |g> = N |g>; a level of 0 < K < pi is two channels, +K and
+    -K, of the same weight.  The weights do not depend on any eigenvector
+    phase.  Channels are in ascending order of energy.
 
     The refusals of require_capacity come first.  The checks are those of
     full_spectrum (every block's residual against the ||H|| of the whole
-    spectrum, and the ground-state gap) and of density_elements (the
-    ground row).  ``eigenvectors`` is None.
+    spectrum, and the ground-state gap), the ground channel
+    (ground_channel_fault) and the f-sum rule of every K != 0
+    (fsum_residual, refused above FSUM_TOL).  ``eigenvectors`` and
+    ``density_elements`` are None.
     """
     N, L, J = lattice.N, lattice.L, lattice.J
     require_capacity(N, L)
@@ -443,51 +492,115 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     occ = basis.states[reps]
     onsite = 0.5 * lattice.U * np.sum(occ * (occ - 1), axis=1)
     transform = np.fft.fft(occ, axis=1) / L  # (1/L) sum_j e^{-iKj} n_j of each orbit
-    sites = np.arange(L)
+    mirrored = basis.ranks(np.roll(occ[:, ::-1], 1, axis=1))  # n_j -> n_{-j}
+    mirror, turned = orbit[mirrored], shift[mirrored]
 
-    values, rows, worst, ground = [], [], 0.0, None
+    values, momenta, weights, worst = [], [], [], 0.0
     for m in range(L // 2 + 1):
         K = 2 * np.pi * m / L
-        real = 2 * m % L == 0
         members = np.flatnonzero(m * period % L == 0)
         position = np.full(reps.size, -1)
         position[members] = np.arange(members.size)
         keep = (position[source] >= 0) & (position[into] >= 0)
-        phase = np.cos(K * turn[keep]) if real else np.exp(1j * K * turn[keep])
-        block = np.zeros((members.size, members.size), dtype=float if real else complex)
-        np.add.at(block, (position[into[keep]], position[source[keep]]), amplitude[keep] * phase)
-        block = block + block.conj().T
+        rows, cols = position[into[keep]], position[source[keep]]
+        block = np.zeros((members.size, members.size))
+        real = 2 * m % L == 0
+        if real:  # K = 0 or pi: real in the momentum states
+            np.add.at(block, (rows, cols), amplitude[keep] * np.cos(K * turn[keep]))
+        else:
+            slot, coef = _parity_basis(K, members, position, mirror, turned)
+            hop = amplitude[keep] * np.exp(1j * K * turn[keep])
+            for a in range(2):
+                for b in range(2):
+                    term = np.conj(coef[rows, a]) * hop * coef[cols, b]
+                    np.add.at(block, (slot[rows, a], slot[cols, b]), term.real)
+        block = block + block.T
         block[np.diag_indices(members.size)] += onsite[members]
         w, C = np.linalg.eigh(block)
         worst = max(worst, _worst_residual(block, C, w))
         if m == 0:
             ground = C[:, 0].copy()  # every orbit has a K = 0 state
-        c = np.abs(C.conj().T @ (ground[members] * transform[members, m]))
+            hopping = 2 * np.dot(ground[into], amplitude * ground[source])  # <g|H_hop|g>
+        overlap = ground[members] * transform[members, m]  # <r,K|n_0|g>
+        if real:
+            overlap = overlap.real
+        else:  # in the parity basis; real, since P C fixes n_0|g> too
+            overlap = sum(
+                np.bincount(slot[:, a], (np.conj(coef[:, a]) * overlap).real, members.size)
+                for a in range(2)
+            )
+        weight = (C.T @ overlap) ** 2
+        if m == 0:
+            weight[1:] = 0.0  # sum_j n_j |g> = N |g>: no excited K = 0 state has weight
         del block, C  # before the next sector's block is built
         if real:
             values.append(w)
-            rows.append(c[:, None] * np.cos(K * sites))
+            momenta.append(np.full(w.size, K))
+            weights.append(weight)
         else:
             values.append(np.repeat(w, 2))
-            pair = np.stack([np.cos(K * sites), np.sin(K * sites)])
-            rows.append((math.sqrt(2) * c[:, None, None] * pair).reshape(-1, L))
+            momenta.append(np.tile([K, -K], w.size))
+            weights.append(np.repeat(weight, 2))
 
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
-    w, table = values[order], np.concatenate(rows)[order]
+    w, K, weight = values[order], np.concatenate(momenta)[order], np.concatenate(weights)[order]
     residual, gap = _checked(w, worst)
-    fault = ground_density_fault(table[0], N, L)
+    fault = ground_channel_fault(K[0], weight[0], N, L)
     if fault:
         raise NumericalError(fault)
+    fsum = fsum_residual(w, K, weight, hopping, L)
+    if not fsum <= FSUM_TOL:
+        raise NumericalError(
+            f"f-sum residual {fsum:.3e} exceeds {FSUM_TOL:.0e}; the sector solve is inconsistent"
+        )
     return SpectrumResult(
         eigenvalues=w,
         eigenvectors=None,
         ground_energy=float(w[0]),
         ground_index=0,
-        density_elements=table,
         residual=residual,
         ground_gap=gap,
+        momenta=K,
+        weights=weight,
+        fsum_residual=fsum,
     )
+
+
+def ground_channel_fault(momentum, weight, N: int, L: int) -> str | None:
+    """Why a ground channel (K, |<g|n_0|g>|^2) cannot belong to the unique
+    ground state, or None.
+
+    The translation-invariant ground state has K = 0 and <g|n_0|g> = N/L,
+    so its weight must be (N/L)^2 to 1e-10 max(1, N).
+    """
+    if momentum != 0:
+        return f"ground state has momentum {momentum!r}, expected 0"
+    if not abs(weight - (N / L) ** 2) <= 1e-10 * max(1.0, float(N)):
+        return f"ground-state weight is {weight!r}, expected (N/L)^2 = {(N / L) ** 2!r}"
+    return None
+
+
+def fsum_residual(eigenvalues, momenta, weights, hopping: float, L: int) -> float:
+    """Worst residual of the f-sum rule over the momenta K != 0 of a channel
+    list in ascending order of energy, the ground channel first.
+
+    With rho_K = sum_j e^{iKj} n_j, a channel of momentum K carries
+    |<e|rho_{-K}|g>|^2 = L^2 |c|^2, so the rule reads
+    S1(K) = L^2 sum over K-channels of omega |c|^2 = (1 - cos K)(-<g|H_hop|g>),
+    omega the excitation energy and ``hopping`` = <g|H_hop|g>.  Each
+    residual |S1(K) - (1 - cos K)(-hopping)| is taken over ||H|| S0(K) plus
+    the right-hand side, S0(K) = L^2 sum |c|^2 the zeroth moment: rounding
+    of the eigenvalues reaches S1 on that scale at any interaction, and a
+    momentum that lost its channels reads about 1.
+    """
+    m = np.rint(np.asarray(momenta) * L / (2 * np.pi)).astype(np.int64) % L
+    omega = eigenvalues - eigenvalues[0]
+    s1 = L * L * np.bincount(m, omega * weights, L)[1:]
+    s0 = L * L * np.bincount(m, weights, L)[1:]
+    rhs = (1 - np.cos(2 * np.pi * np.arange(1, L) / L)) * -hopping
+    norm = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    return float(np.max(np.abs(s1 - rhs) / (norm * s0 + np.abs(rhs))))
 
 
 @dataclass(frozen=True)
@@ -517,9 +630,57 @@ def exact_cross_section(
 
 
 def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes) -> list:
-    """exact_cross_section at every probe, in one open-channel sum."""
-    if spectrum.density_elements is None:
-        raise BadParameterError("spectrum has no density elements; diagonalize first")
+    """exact_cross_section at every probe, in one open-channel sum.
+
+    A sector spectrum sums its channels: a state of momentum K and weight
+    |c|^2 adds root |W(kappa)|^2 |c|^2 |Sigma(kappa + K)|^2, with kappa + K
+    folded into (-pi, pi] so that |Sigma|^2 keeps its precision next to a
+    Bragg peak.  The elastic term is the ground channel at kel with root 1.
+    A dense spectrum sums its table of <e|n_j|g> against the lattice phases.
+    """
+    dE = spectrum.eigenvalues - spectrum.ground_energy
+    dE[spectrum.ground_index] = np.inf  # the ground state is not a channel
+    if spectrum.weights is not None:
+        inelastic, elastic = _channel_sums(spectrum, lattice, probes, dE)
+    elif spectrum.density_elements is not None:
+        inelastic, elastic = _table_sums(spectrum, lattice, probes, dE)
+    else:
+        raise BadParameterError("spectrum has neither channels nor density elements")
+    counts = {E0: int(np.count_nonzero(dE < E0)) for E0 in {p.E0 for p in probes}}
+    return [
+        ExactCrossSection(p.theta, float(el), float(inel), counts[p.E0])
+        for p, el, inel in zip(probes, elastic, inelastic)
+    ]
+
+
+def _channel_sums(spectrum, lattice, probes, dE):
+    """Inelastic and elastic cross sections per probe from the channels.
+
+    Only the channels that carry weight are summed: no excited K = 0 state does.
+    """
+    dim = basis_dimension(lattice.N, lattice.L)
+    if spectrum.weights.size != dim:
+        raise BadParameterError(
+            f"spectrum has {spectrum.weights.size} channels, the lattice's basis has {dim} states"
+        )
+    carrying = spectrum.weights > 0
+    K, weight = spectrum.momenta[carrying], spectrum.weights[carrying]
+
+    def terms(root, kappa, momentum, weight):
+        folded = np.pi - np.mod(np.pi - (kappa + momentum), 2 * np.pi)  # into (-pi, pi]
+        return root * form_factor(kappa, lattice.V0) ** 2 * weight * lattice_sum_sq(folded, lattice.L)
+
+    def summand(open_, root, kappa_e, kel, E0):
+        return terms(root, kappa_e, K[open_], weight[open_])
+
+    g = spectrum.ground_index
+    kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
+    elastic = terms(1.0, kels, spectrum.momenta[g], spectrum.weights[g])
+    return open_channel_sum(probes, dE[carrying], summand), elastic
+
+
+def _table_sums(spectrum, lattice, probes, dE):
+    """Inelastic and elastic cross sections per probe from the density table."""
     table = spectrum.density_elements
     L = lattice.L
     if table.shape[1] != L:
@@ -527,8 +688,6 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
             f"spectrum was computed for {table.shape[1]} sites, lattice has {L}"
         )
     x = np.arange(1, L + 1, dtype=float)
-    dE = spectrum.eigenvalues - spectrum.ground_energy
-    dE[spectrum.ground_index] = np.inf  # the ground state is not a channel
 
     def summand(open_, root, kappa_e, kel, E0):
         phases = np.exp(1j * (kappa_e[..., None] * x))
@@ -537,13 +696,11 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
 
     inelastic = open_channel_sum(probes, dE, summand)
     ground_row = table[spectrum.ground_index]
-    results = []
+    elastic = []
     # the elastic term stays per probe: abs() of a complex scalar and
     # np.abs of an array round differently, and the values must not move
-    for probe, inel in zip(probes, inelastic):
+    for probe in probes:
         kel = kappa_elastic(probe)
         amp_el = np.sum(np.exp(1j * kel * x) * ground_row)
-        elastic = float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2)
-        contributing = int(np.count_nonzero(dE < probe.E0))
-        results.append(ExactCrossSection(probe.theta, elastic, float(inel), contributing))
-    return results
+        elastic.append(float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2))
+    return inelastic, elastic

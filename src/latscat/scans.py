@@ -5,7 +5,9 @@ loop over lattice configurations and an inner loop over probes, with each
 provenance's curve taken from the CURVES registry.  Before the loops, it
 gathers the lattices whose spectra its sites will read, loads the cached
 ones, checks every miss against the capacity refusals, and then solves the
-misses one by one in momentum sectors (exact.sector_spectrum).  It returns a
+misses one by one in momentum sectors (exact.sector_spectrum).  The cache
+holds each spectrum's scattering channels: (energy, momentum K, weight)
+per eigenstate.  It returns a
 rectangular ScanTable with an explicit provenance column plus manifest
 metadata; the writers emit byte-deterministic CSV
 (17 significant digits) whose first line points at the JSON run manifest.
@@ -40,7 +42,7 @@ from .exact import (
     SpectrumResult,
     basis_dimension,
     exact_cross_sections,
-    ground_density_fault,
+    ground_channel_fault,
     require_capacity,
     sector_spectrum,
 )
@@ -168,11 +170,12 @@ class RunManifest:
     cache_hits: int = 0
     cache_misses: int = 0
     # the spectra this run solved: how many, their wall seconds, the worst
-    # eigenpair residual over ||H|| and the smallest ground-state gap
-    # E_1 - E_0 among them
+    # eigenpair residual over ||H||, the smallest ground-state gap E_1 - E_0
+    # and the worst f-sum residual (exact.fsum_residual) among them
     spectra: dict = field(
         default_factory=lambda: {
             "solved": 0, "solve_s": 0.0, "worst_residual": None, "min_ground_gap": None,
+            "worst_fsum_residual": None,
         }
     )
     wall_time_s: float = 0.0
@@ -185,6 +188,9 @@ class RunManifest:
         block["solve_s"] += seconds
         block["worst_residual"] = _fold(max, block["worst_residual"], [r.residual for r in results])
         block["min_ground_gap"] = _fold(min, block["min_ground_gap"], [r.ground_gap for r in results])
+        block["worst_fsum_residual"] = _fold(
+            max, block["worst_fsum_residual"], [r.fsum_residual for r in results]
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -209,7 +215,7 @@ def _fold(pick, old, new):
 # ------------------------------------------------------------ spectrum cache
 
 _CACHE_MAGIC = "LSCAT-SPEC"
-_CACHE_VERSION = "v1"
+_CACHE_VERSION = "v2"
 
 
 def _cache_key(N: int, L: int, U_over_J: float, J: float) -> str:
@@ -223,26 +229,25 @@ def cache_path(cache_dir, lattice: LatticeSpec) -> Path:
 
 
 def save_spectrum(path, result: SpectrumResult, lattice: LatticeSpec) -> None:
-    """Atomically write eigenvalues + density table behind a text header."""
-    if result.density_elements is None:
-        raise BadParameterError("refusing to cache a spectrum without density elements")
+    """Atomically write (energy, K, weight) per eigenstate behind a text header."""
+    if result.weights is None:
+        raise BadParameterError("refusing to cache a spectrum without channels")
     path = Path(path)
     header = (
         f"{_CACHE_MAGIC} {_CACHE_VERSION} "
         f"{_cache_key(lattice.N, lattice.L, lattice.U / lattice.J, lattice.J)}\n"
     )
-    payload = (
-        result.eigenvalues.astype("<f8").tobytes()
-        + result.density_elements.astype("<f8").tobytes()
-    )
-    _atomic_write_bytes(path, header.encode("ascii") + payload)
+    channels = np.stack([result.eigenvalues, result.momenta, result.weights], axis=1)
+    _atomic_write_bytes(path, header.encode("ascii") + channels.astype("<f8").tobytes())
 
 
 def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
     """Read a cached spectrum back, validating header, payload size and content.
 
-    The values must be finite, the eigenvalues ascend from the ground state
-    and its density row pass the checks of exact.density_elements.
+    A file of another format version is refused, never misread.  The values
+    must be finite, the eigenvalues ascend from the ground state, every
+    weight be non-negative and every K a multiple of 2 pi / L, and the
+    ground channel pass exact.ground_channel_fault.
     """
     path = Path(path)
     try:
@@ -257,8 +262,12 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
     except UnicodeDecodeError as exc:
         raise CacheError(f"spectrum cache {path} header is not text") from exc
     parts = header.split()
-    if len(parts) != 6 or parts[0] != _CACHE_MAGIC or parts[1] != _CACHE_VERSION:
+    if len(parts) != 6 or parts[0] != _CACHE_MAGIC:
         raise CacheError(f"spectrum cache {path} has bad magic/version: {header!r}")
+    if parts[1] != _CACHE_VERSION:
+        raise CacheError(
+            f"spectrum cache {path} has format {parts[1]}, this version reads {_CACHE_VERSION}"
+        )
     expected = _cache_key(lattice.N, lattice.L, lattice.U / lattice.J, lattice.J).split()
     if parts[2:] != expected:
         raise CacheError(
@@ -266,19 +275,23 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
         )
     dim = basis_dimension(lattice.N, lattice.L)
     body = blob[nl + 1 :]
-    want = 8 * (dim + dim * lattice.L)
+    want = 8 * 3 * dim
     if len(body) != want:
         raise CacheError(
             f"spectrum cache {path} payload is {len(body)} bytes, expected {want}"
         )
-    values = np.frombuffer(body, dtype="<f8")
-    if not np.all(np.isfinite(values)):
+    channels = np.frombuffer(body, dtype="<f8").reshape(dim, 3)
+    if not np.all(np.isfinite(channels)):
         raise CacheError(f"spectrum cache {path} holds non-finite values")
-    eigenvalues = values[:dim].copy()
+    eigenvalues, momenta, weights = channels.T.copy()
     if np.any(np.diff(eigenvalues) < 0):
         raise CacheError(f"spectrum cache {path} eigenvalues do not ascend from the ground state")
-    table = values[dim:].reshape(dim, lattice.L).copy()
-    fault = ground_density_fault(table[0], lattice.N, lattice.L)
+    if np.any(weights < 0):
+        raise CacheError(f"spectrum cache {path} holds a negative weight")
+    steps = momenta * lattice.L / (2 * np.pi)
+    if not np.all(np.abs(steps - np.rint(steps)) <= 1e-9):
+        raise CacheError(f"spectrum cache {path} holds a momentum off the grid 2 pi m / L")
+    fault = ground_channel_fault(momenta[0], weights[0], lattice.N, lattice.L)
     if fault:
         raise CacheError(f"spectrum cache {path}: {fault}")
     return SpectrumResult(
@@ -286,7 +299,8 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
         eigenvectors=None,
         ground_energy=float(eigenvalues[0]),
         ground_index=0,
-        density_elements=table,
+        momenta=momenta,
+        weights=weights,
     )
 
 

@@ -329,7 +329,7 @@ def test_exit_3_capacity(tmp_path, capsys):
 
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
     # dimension C(5,3) = 10 in 4 orbits: the sector solve needs about
-    # 6 * 16 * 4^2 + 5 * 8 * 10 * 3 = 2736 bytes
+    # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1000)
     code, out, _ = run_cli(
         tmp_path,
@@ -338,7 +338,7 @@ def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "capacity" in err and "2736 bytes" in err and "1000 bytes" in err
+    assert "capacity" in err and "1968 bytes" in err and "1000 bytes" in err
     assert not out.exists()
 
 

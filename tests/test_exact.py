@@ -72,6 +72,18 @@ def test_enumerate_basis_cap(monkeypatch):
         enumerate_basis(10, 5)
 
 
+def test_dense_memory_gate_comes_before_the_basis(monkeypatch):
+    # dimension 3000 needs 216 MB dense; refused before its basis is built
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**20)
+
+    def never(N, L):
+        raise AssertionError("the basis was built before the gate")
+
+    monkeypatch.setattr("latscat.exact.enumerate_basis", never)
+    with pytest.raises(CapacityError, match="dense diagonalization of dimension 3000"):
+        diagonalize(LatticeSpec(L=3000, n=1 / 3000))
+
+
 def test_enumerate_basis_bad_parameters():
     with pytest.raises(BadParameterError):
         enumerate_basis(0, 4)

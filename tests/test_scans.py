@@ -88,14 +88,16 @@ def _small_lattice():
 
 def test_cache_round_trip_is_bit_identical(tmp_path):
     lattice = _small_lattice()
-    result = diagonalize(lattice)
+    result = sector_spectrum(lattice)
     path = cache_path(tmp_path, lattice)
     save_spectrum(path, result, lattice)
     loaded = load_spectrum(path, lattice)
-    assert np.array_equal(loaded.eigenvalues, result.eigenvalues)
-    assert np.array_equal(loaded.density_elements, result.density_elements)
+    for name in ("eigenvalues", "momenta", "weights"):
+        assert np.array_equal(getattr(loaded, name), getattr(result, name)), name
     assert loaded.ground_energy == result.ground_energy
-    assert loaded.eigenvectors is None
+    assert loaded.eigenvectors is None and loaded.density_elements is None
+    # three doubles per state behind the header
+    assert len(path.read_bytes().split(b"\n", 1)[1]) == 3 * 8 * result.eigenvalues.size
     # a second save of the same content produces the same bytes
     first = path.read_bytes()
     save_spectrum(path, result, lattice)
@@ -104,16 +106,22 @@ def test_cache_round_trip_is_bit_identical(tmp_path):
 
 def test_cache_header_is_human_readable(tmp_path):
     lattice = _small_lattice()
-    save_spectrum(cache_path(tmp_path, lattice), diagonalize(lattice), lattice)
+    save_spectrum(cache_path(tmp_path, lattice), sector_spectrum(lattice), lattice)
     head = cache_path(tmp_path, lattice).read_bytes().split(b"\n", 1)[0]
-    expected = f"LSCAT-SPEC v1 N=4 L=4 U_over_J=1 J={0.0065:.17g}"
+    expected = f"LSCAT-SPEC v2 N=4 L=4 U_over_J=1 J={0.0065:.17g}"
     assert head.decode("ascii") == expected
+
+
+def test_cache_refuses_a_spectrum_without_channels(tmp_path):
+    lattice = _small_lattice()
+    with pytest.raises(BadParameterError, match="without channels"):
+        save_spectrum(cache_path(tmp_path, lattice), diagonalize(lattice), lattice)
 
 
 def test_cache_rejects_truncated_payload(tmp_path):
     lattice = _small_lattice()
     path = cache_path(tmp_path, lattice)
-    save_spectrum(path, diagonalize(lattice), lattice)
+    save_spectrum(path, sector_spectrum(lattice), lattice)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(CacheError):
@@ -123,7 +131,7 @@ def test_cache_rejects_truncated_payload(tmp_path):
 def test_cache_rejects_bad_magic(tmp_path):
     lattice = _small_lattice()
     path = cache_path(tmp_path, lattice)
-    save_spectrum(path, diagonalize(lattice), lattice)
+    save_spectrum(path, sector_spectrum(lattice), lattice)
     blob = path.read_bytes()
     path.write_bytes(b"XSCAT-SPEC" + blob[10:])
     with pytest.raises(CacheError):
@@ -133,10 +141,29 @@ def test_cache_rejects_bad_magic(tmp_path):
 def test_cache_rejects_mismatched_key(tmp_path):
     lattice = _small_lattice()
     path = cache_path(tmp_path, lattice)
-    save_spectrum(path, diagonalize(lattice), lattice)
+    save_spectrum(path, sector_spectrum(lattice), lattice)
     other = LatticeSpec(L=4, n=1.0, U=0.0065, J=0.0070)
     with pytest.raises(CacheError):
         load_spectrum(path, other)
+
+
+def test_a_v1_cache_file_is_recomputed_with_a_warning(tmp_path):
+    # the v1 layout: eigenvalues, then the dim x L table of <e|n_j|g>
+    lattice = _small_lattice()
+    dense = diagonalize(lattice)
+    path = cache_path(tmp_path, lattice)
+    header = f"LSCAT-SPEC v1 N=4 L=4 U_over_J=1 J={0.0065:.17g}\n".encode("ascii")
+    path.write_bytes(
+        header + dense.eigenvalues.astype("<f8").tobytes()
+        + dense.density_elements.astype("<f8").tobytes()
+    )
+    manifest = RunManifest(command="test", parameters={})
+    result = cache_spectrum(lattice, tmp_path, manifest)
+    assert len(manifest.warnings) == 1
+    assert "recomputing spectrum" in manifest.warnings[0] and "format v1" in manifest.warnings[0]
+    assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
+    assert np.array_equal(result.weights, sector_spectrum(lattice).weights)
+    assert path.read_bytes().startswith(b"LSCAT-SPEC v2 ")
 
 
 def test_cache_keys_distinguish_couplings(tmp_path):
@@ -160,25 +187,33 @@ def test_cache_spectrum_recovers_from_corruption(tmp_path):
     assert np.array_equal(reloaded.eigenvalues, result.eigenvalues)
 
 
-def _nan_eigenvalue(w, table):
+# Each corruption gets the columns (energy, K, weight) of a v2 file to edit.
+def _nan_eigenvalue(w, K, weight):
     w[3] = np.nan
 
 
-def _ground_above_excited(w, table):
+def _ground_above_excited(w, K, weight):
     w[0] = w[1] + 1.0
 
 
-def _infinite_density(w, table):
-    table[5, 2] = np.inf
+def _infinite_density(w, K, weight):
+    weight[5] = np.inf  # the weight |<e|n_0|g>|^2 of a density matrix element
 
 
-def _ground_row_off_N(w, table):
-    table[0, 0] += 0.5
+def _ground_row_off_N(w, K, weight):
+    weight[0] += 0.5  # the ground weight is (N/L)^2
 
 
-def _ground_row_not_uniform(w, table):
-    table[0, 0] += 1e-3
-    table[0, 1] -= 1e-3
+def _ground_row_not_uniform(w, K, weight):
+    K[0] = np.pi / 2  # a ground state that breaks translation symmetry
+
+
+def _negative_weight(w, K, weight):
+    weight[7] = -1e-3
+
+
+def _momentum_off_the_grid(w, K, weight):
+    K[9] += 0.1
 
 
 @pytest.mark.parametrize(
@@ -189,6 +224,8 @@ def _ground_row_not_uniform(w, table):
         _infinite_density,
         _ground_row_off_N,
         _ground_row_not_uniform,
+        _negative_weight,
+        _momentum_off_the_grid,
     ],
 )
 def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
@@ -197,19 +234,19 @@ def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
     path = cache_path(tmp_path, lattice)
     save_spectrum(path, fresh, lattice)
     head, body = path.read_bytes().split(b"\n", 1)
-    values = np.frombuffer(body, dtype="<f8").copy()
-    dim = fresh.eigenvalues.size
-    corrupt(values[:dim], values[dim:].reshape(dim, lattice.L))
-    path.write_bytes(head + b"\n" + values.tobytes())
+    channels = np.frombuffer(body, dtype="<f8").reshape(-1, 3).copy()
+    corrupt(channels[:, 0], channels[:, 1], channels[:, 2])
+    path.write_bytes(head + b"\n" + channels.tobytes())
 
     manifest = RunManifest(command="test", parameters={})
     result = cache_spectrum(lattice, tmp_path, manifest)
     assert len(manifest.warnings) == 1 and "recomputing spectrum" in manifest.warnings[0]
     assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
-    assert np.array_equal(result.eigenvalues, fresh.eigenvalues)
-    assert np.array_equal(result.density_elements, fresh.density_elements)
+    for name in ("eigenvalues", "momenta", "weights"):
+        assert np.array_equal(getattr(result, name), getattr(fresh, name)), name
     reloaded = load_spectrum(path, lattice)
     assert np.array_equal(reloaded.eigenvalues, fresh.eigenvalues)
+    assert np.array_equal(reloaded.weights, fresh.weights)
 
 
 def test_cache_spectrum_counts_hits(tmp_path):
@@ -219,7 +256,7 @@ def test_cache_spectrum_counts_hits(tmp_path):
     second = cache_spectrum(lattice, tmp_path, manifest)
     assert (manifest.cache_misses, manifest.cache_hits) == (1, 1)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.density_elements, second.density_elements)
+    assert np.array_equal(first.weights, second.weights)
 
 
 # ------------------------------------------------------------------ runners
@@ -372,10 +409,10 @@ def test_deviation_map_names_failing_cell():
 
 def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
     # on L = 3 only the n = 1.0 cell (N = 3, dimension 10 in 4 orbits) needs
-    # 6 * 16 * 4^2 + 5 * 8 * 10 * 3 = 2736 bytes for its sector solve
-    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2735)
+    # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes for its sector solve
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1967)
     cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_points=3)
-    with pytest.raises(CapacityError, match=r"cell n=1.0, U/J=1.0: .* 2736 bytes.* 2735 bytes"):
+    with pytest.raises(CapacityError, match=r"cell n=1.0, U/J=1.0: .* 1968 bytes.* 1967 bytes"):
         run(cfg)
 
 

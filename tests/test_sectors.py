@@ -1,15 +1,20 @@
-"""The momentum-sector solver against the dense oracle.
+"""The momentum-sector solver against the dense oracle and the f-sum rule.
 
-exact.sector_spectrum solves a lattice in its sectors K = 2 pi m / L, which
-is how every scan run solves; diagonalize (build_hamiltonian, full_spectrum,
-density_elements) stays dense and is the oracle here.  The two share one hop
-enumeration, so the dense matrix is also pinned, bit for bit, against the
-row-by-row loop it replaced.
+exact.sector_spectrum solves a lattice in its sectors K = 2 pi m / L, each
+block real, and returns one channel (energy, K, weight) per eigenstate,
+which is how every scan run solves; diagonalize (build_hamiltonian,
+full_spectrum, density_elements) stays dense and is the oracle here.  Past
+the oracle's sizes the f-sum rule, which every sector solve checks, is the
+oracle: mutated copies of the solver must fail it.  The two solvers share
+one hop enumeration, so the dense matrix is also pinned, bit for bit,
+against the row-by-row loop it replaced.
 """
+import inspect
 import math
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -17,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latscat import exact
-from latscat.errors import CapacityError
+from latscat.errors import BadParameterError, CapacityError, NumericalError
 from latscat.exact import (
     basis_dimension,
     build_hamiltonian,
@@ -79,7 +84,7 @@ def test_orbit_count_is_the_number_of_translation_orbits(N, L):
     orbits = {min(tuple(np.roll(s, d)) for d in range(L)) for s in enumerate_basis(N, L).states}
     assert orbit_count(N, L) == len(orbits)
     dim = basis_dimension(N, L)
-    assert exact.sector_bytes(N, L) == 16 * exact.SECTOR_MATRICES * len(orbits) ** 2 + (
+    assert exact.sector_bytes(N, L) == 8 * exact.SECTOR_MATRICES * len(orbits) ** 2 + (
         8 * exact.BASIS_ARRAYS * dim * L
     )
 
@@ -90,16 +95,29 @@ def test_sector_solve_keeps_the_basis_cap():
 
 
 def test_sector_table_is_real_and_keeps_the_ground_row():
+    # the channels replace the table: real arrays, one entry per eigenstate,
+    # the ground channel first with K = 0 and weight (N/L)^2
     lattice = LatticeSpec(L=6, n=1.0, U=2 * J, J=J)
     spectrum = sector_spectrum(lattice)
-    table = spectrum.density_elements
-    assert table.dtype == np.float64 and table.shape == (basis_dimension(6, 6), 6)
-    assert np.all(table[0] == table[0, 0]) and table[0, 0] == pytest.approx(1.0, rel=1e-12)
-    assert spectrum.eigenvectors is None
+    dim = basis_dimension(6, 6)
+    for name in ("eigenvalues", "momenta", "weights"):
+        values = getattr(spectrum, name)
+        assert values.dtype == np.float64 and values.shape == (dim,), name
+    assert spectrum.momenta[0] == 0.0 and spectrum.weights[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.all(spectrum.weights >= 0)
+    steps = spectrum.momenta * 6 / (2 * np.pi)
+    assert np.array_equal(steps, np.rint(steps)) and np.all(np.abs(spectrum.momenta) <= np.pi)
+    # rho_0 |g> = N |g>: no excited K = 0 state carries weight
+    assert np.all(spectrum.weights[1:][spectrum.momenta[1:] == 0] == 0.0)
+    # a level of 0 < |K| < pi is a +-K pair of equal weight
+    for K in 2 * np.pi * np.arange(1, 3) / 6:
+        assert np.array_equal(spectrum.weights[spectrum.momenta == K], spectrum.weights[spectrum.momenta == -K])
+    assert spectrum.eigenvectors is None and spectrum.density_elements is None
     assert spectrum.residual <= exact.RESIDUAL_TOL and spectrum.ground_gap > 0
+    assert spectrum.fsum_residual <= 1e-12
 
 
-sizes = [(N, L) for L in range(2, 8) for N in range(1, 40) if basis_dimension(N, L) <= 800]
+sizes = [(N, L) for L in range(2, 9) for N in range(1, 40) if basis_dimension(N, L) <= 800]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -133,9 +151,17 @@ def test_sectors_equal_the_dense_oracle(size, u_over_j, probes):
             assert abs(a - b) <= REL_TOL * max(abs(a), abs(b)) + floor, (side, a, b)
 
 
+def test_channel_cross_sections_refuse_another_lattice():
+    spectrum = sector_spectrum(LatticeSpec(L=4, n=1.0, U=J, J=J))
+    for other in (LatticeSpec(L=8, n=0.5, U=J, J=J), LatticeSpec(L=5, n=0.8, U=J, J=J)):
+        with pytest.raises(BadParameterError, match="35 channels"):
+            exact_cross_sections(spectrum, other, [ProbeSpec(E0=2.0, theta=0.3)])
+
+
 def test_a_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):
     # dimension 1001: its excited states come in +-K pairs, which a dense
-    # solve mixes differently on different thread counts
+    # solve mixes differently on different thread counts; the channel
+    # weights of a pair do not depend on that mixing
     lattice = "LatticeSpec(L=5, n=2.0, U=1.3, J=1.0)"
     tables = []
     for threads in ("1", "2"):
@@ -151,8 +177,9 @@ def test_a_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):
         tables.append(load_spectrum(cache_path(tmp_path / threads, spec), spec))
     one, two = tables
     assert np.max(np.abs(one.eigenvalues - two.eigenvalues)) <= 1e-12 * np.max(np.abs(one.eigenvalues))
-    scale = np.max(np.abs(one.density_elements))
-    assert np.max(np.abs(one.density_elements - two.density_elements)) <= 1e-12 * scale
+    assert np.array_equal(one.momenta, two.momenta)
+    scale = np.max(one.weights)
+    assert np.max(np.abs(one.weights - two.weights)) <= 1e-12 * scale
 
 
 def test_every_command_writes_the_same_bytes_for_one_lattice(tmp_path):
@@ -167,3 +194,70 @@ def test_every_command_writes_the_same_bytes_for_one_lattice(tmp_path):
     cache_spectrum(lattice, tmp_path / "c")
     blobs = {cache_path(tmp_path / d, lattice).read_bytes() for d in "udc"}
     assert len(blobs) == 1
+
+
+fsum_sizes = [(N, L) for L in range(2, 10) for N in range(1, 60) if 300 <= basis_dimension(N, L) <= 6500]
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(size=st.sampled_from(fsum_sizes), u_over_j=st.one_of(st.just(0.0), st.floats(0.01, 30.0)))
+def test_the_f_sum_rule_holds_past_the_dense_oracle(size, u_over_j):
+    N, L = size
+    spectrum = sector_spectrum(LatticeSpec(L=L, n=N / L, U=u_over_j * J, J=J, V0=V0))
+    assert spectrum.fsum_residual <= 1e-12
+
+
+def test_the_f_sum_rule_reaches_the_largest_sizes():
+    spectrum = sector_spectrum(LatticeSpec(L=8, n=1.0, U=3 * J, J=J))  # dimension 6435
+    assert spectrum.eigenvalues.size == 6435 and spectrum.fsum_residual <= 1e-12
+
+
+def test_a_lost_pair_weight_breaks_the_f_sum_rule():
+    spectrum = sector_spectrum(LatticeSpec(L=5, n=1.0, U=J, J=J))
+    hopping = -1.0  # any scale: only the mismatch matters
+    weights = np.where(spectrum.momenta < 0, 0.0, spectrum.weights)
+    assert exact.fsum_residual(spectrum.eigenvalues, spectrum.momenta, weights, hopping, 5) > 0.1
+
+
+def mutant(old: str, new: str):
+    """A copy of latscat.exact, in memory only, with one line of its source changed."""
+    source = inspect.getsource(exact)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("latscat._exact_mutant")
+    module.__package__ = "latscat"
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source.replace(old, new), exact.__file__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+MUTATIONS = {
+    "parity phase sign": (
+        "phase = np.exp(0.5j * K * turned[members[low]])",
+        "phase = np.exp(-0.5j * K * turned[members[low]])",
+    ),
+    "odd parity": (
+        "coef = np.stack([scale, scale * np.where(x == low, 1j, -1j) * pair], axis=1)",
+        "coef = 1j * np.stack([scale, scale * np.where(x == low, 1j, -1j) * pair], axis=1)",
+    ),
+    "no period factor": (
+        "amplitude = -J * root * np.sqrt(period[source] / period[into])",
+        "amplitude = -J * root",
+    ),
+    "weight on +K only": (
+        "weights.append(np.repeat(weight, 2))",
+        "weights.append(np.stack([weight, 0 * weight], axis=1).ravel())",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_a_broken_sector_solver_fails_the_f_sum_rule(name):
+    broken = mutant(*MUTATIONS[name])
+    # L = 6, N = 6 has orbits of every period 1, 2, 3 and 6, and mirror pairs
+    lattice = LatticeSpec(L=6, n=1.0, U=1.7 * J, J=J)
+    assert broken.sector_spectrum is not sector_spectrum
+    with pytest.raises(NumericalError, match="f-sum residual"):
+        broken.sector_spectrum(lattice)

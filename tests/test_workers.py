@@ -1,10 +1,11 @@
-"""A run solves its spectra in its own process, with no worker processes.
+"""In-process solves and pickle round trips.
 
-A run loads its cached spectra and solves every miss in momentum sectors,
-one after another, in the process that asked.  These tests pin what that
-must keep: a failing solve leaves no child process behind, a fully cached
-run imports neither SciPy nor multiprocessing, and every library error still
-survives a pickle round trip, for callers that run scans in their own pools.
+No worker processes remain, despite this module's name: a run loads its
+cached spectra and solves every miss in momentum sectors, one after
+another, in the process that asked.  These tests pin what that must keep:
+a failing solve leaves no child process behind, a fully cached run imports
+neither SciPy nor multiprocessing, and every library error still survives
+a pickle round trip, for callers that run scans in their own pools.
 """
 import json
 import multiprocessing
@@ -63,9 +64,11 @@ def test_a_fully_cached_run_starts_no_worker(tmp_path):
     cold_manifest = json.loads((tmp_path / "cold.manifest.json").read_text())
     warm_manifest = json.loads((tmp_path / "warm.manifest.json").read_text())
     assert cold_manifest["spectra"]["solved"] == 2
+    assert cold_manifest["spectra"]["worst_fsum_residual"] <= 1e-12
     assert warm_manifest["cache"] == {"hits": 2, "misses": 0}
     assert warm_manifest["spectra"] == {
         "solved": 0, "solve_s": 0.0, "worst_residual": None, "min_ground_gap": None,
+        "worst_fsum_residual": None,
     }
     assert (tmp_path / "cold.csv").read_bytes().split(b"\n", 1)[1] == (
         tmp_path / "warm.csv"
