@@ -10,8 +10,8 @@ from latscat import (
     LatticeSpec,
     ProbeSpec,
     bog_inelastic_cs,
-    diagonalize,
     exact_cross_section,
+    sector_spectrum,
     sf_inelastic,
     slope_lambda,
     solve_depletion,
@@ -26,9 +26,11 @@ def main():
 
     print(f"lattice: L={lattice.L}, N={lattice.N}, u=Un/J={lattice.u_dimensionless:g}")
 
-    # Exact route: full spectrum of the Bose-Hubbard chain, then the
-    # thermal-free Born cross sections off the ground state.
-    spectrum = diagonalize(lattice)
+    # Exact route: full spectrum of the Bose-Hubbard chain, solved in its
+    # lattice-momentum sectors, then the thermal-free Born cross sections
+    # off the ground state.  (diagonalize gives the same numbers densely;
+    # it is the oracle of the tests.)
+    spectrum = sector_spectrum(lattice)
     cs = exact_cross_section(spectrum, lattice, probe)
     print(f"exact:   elastic/N={cs.elastic / lattice.N:.6f}  "
           f"inelastic/N={cs.inelastic / lattice.N:.6f}  "

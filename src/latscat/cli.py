@@ -3,7 +3,7 @@
 Every subcommand shares one flag set; values are resolved with the
 precedence flags > config file > built-in defaults and handed to the
 runner as a frozen ScanConfig.  Exit codes: 0 success, 2 bad parameters,
-3 basis-capacity refusal, 4 numerical failure.
+3 an exact solve that would not fit in memory, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -173,13 +173,14 @@ def resolve_config(args) -> ScanConfig:
     for key, (_, parse) in _FLAGS.items():
         if key in raw:
             fields.update(parse(raw[key]))
-    if "N" in fields:
+    if "N" in fields:  # ScanConfig takes the filling n alone
+        N = fields.pop("N")
         L = fields.get("L_values", ScanConfig.L_values)[0]
-        n = fields.setdefault("n", fields["N"] / L)
-        N = LatticeSpec(L=L, n=n).N
-        if N != fields["N"]:
+        n = fields.setdefault("n", N / L)
+        realized = LatticeSpec(L=L, n=n).N
+        if realized != N:
             raise BadParameterError(
-                f"--N {fields['N']} and --n {n} disagree on L={L} (round(n*L) = {N})"
+                f"--N {N} and --n {n} disagree on L={L} (round(n*L) = {realized})"
             )
     return ScanConfig(**fields)
 

@@ -18,7 +18,7 @@ class KinematicallyForbiddenError(BadParameterError):
 
 
 class CapacityError(LatscatError):
-    """A requested computation exceeds the configured size cap."""
+    """A requested computation would not fit in the available memory."""
 
 
 class NumericalError(LatscatError):

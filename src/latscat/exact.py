@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,10 +47,6 @@ from .model import (
     lattice_sum_sq,
     open_channel_sum,
 )
-
-# Refuse basis sizes past this point: the dense solver needs all
-# eigenpairs, and memory grows as dim^2.
-BASIS_CAP = 30_000
 
 # Dense diagonalization holds about this many dim x dim double matrices at
 # once: the Hamiltonian, the eigenvectors and the solver's workspace.
@@ -93,7 +90,12 @@ class FockBasis:
 
     @cached_property
     def _at_most(self) -> np.ndarray:
-        """_at_most[s, k] = C(k + s, s): the states of s sites holding at most k particles."""
+        """_at_most[s, k] = C(k + s, s): the states of s sites holding at most k particles.
+
+        Its largest entry is C(N + L - 1, L - 1) = dim.  The memory gate of
+        enumerate_basis keeps dim <= MemAvailable / (40 L), far below the
+        2^63 of int64.
+        """
         table = np.ones((self.L, self.N + 1), dtype=np.int64)
         for s in range(1, self.L):
             table[s] = np.cumsum(table[s - 1])
@@ -130,13 +132,15 @@ def basis_dimension(N: int, L: int) -> int:
 def enumerate_basis(N: int, L: int) -> FockBasis:
     """All occupation vectors with sum N on L sites, lexicographically ordered.
 
-    A basis larger than BASIS_CAP is refused before it is built.
+    A basis whose arrays would not fit in the available memory is refused
+    before it is built.
     """
     if N < 1:
         raise BadParameterError(f"need at least one particle, got N={N}")
     if L < 2:
         raise BadParameterError(f"need at least two sites, got L={L}")
-    dim = _refuse_past_cap(N, L)
+    _refuse_past_memory("basis enumeration", N, L, lambda dim: _basis_bytes(dim, L))
+    dim = basis_dimension(N, L)
 
     # Stars and bars: the gaps between L-1 bars among N+L-1 slots are the
     # occupations; bars in lexicographic order give states in that order.
@@ -144,17 +148,6 @@ def enumerate_basis(N: int, L: int) -> FockBasis:
     bars = np.fromiter(bars, np.int64, dim * (L - 1)).reshape(dim, L - 1)
     states = np.diff(bars, axis=1, prepend=-1, append=N + L - 1) - 1
     return FockBasis(N=N, L=L, states=states)
-
-
-def _refuse_past_cap(N: int, L: int) -> int:
-    """Dimension of the (N, L) basis; CapacityError past BASIS_CAP."""
-    dim = basis_dimension(N, L)
-    if dim > BASIS_CAP:
-        raise CapacityError(
-            f"basis dimension {dim} = C({N + L - 1},{N}) exceeds the cap {BASIS_CAP} "
-            f"(N={N}, L={L})"
-        )
-    return dim
 
 
 def dense_bytes(dim: int) -> int:
@@ -177,39 +170,57 @@ def orbit_count(N: int, L: int) -> int:
     return fixed // L
 
 
+def _basis_bytes(dim, L: int):
+    """Memory of BASIS_ARRAYS dim x L arrays of 8 bytes."""
+    return BASIS_ARRAYS * 8 * dim * L
+
+
 def sector_bytes(N: int, L: int) -> int:
     """Memory the sector solve of (N, L) holds at once, in bytes: SECTOR_MATRICES
     real matrices the size of the largest block, and BASIS_ARRAYS dim x L
     arrays."""
-    blocks = SECTOR_MATRICES * 8 * orbit_count(N, L) ** 2
-    return blocks + BASIS_ARRAYS * 8 * basis_dimension(N, L) * L
+    return SECTOR_MATRICES * 8 * orbit_count(N, L) ** 2 + _basis_bytes(basis_dimension(N, L), L)
 
 
-def _refuse_past_memory(what: str, need: int) -> None:
-    """CapacityError when a solve (``what``) needing about ``need`` bytes would
-    not fit in the available memory; no check where that cannot be read."""
+def _refuse_past_memory(what: str, N: int, L: int, need) -> None:
+    """CapacityError when ``what`` on the (N, L) basis, holding need(dim)
+    bytes at once, would not fit in the available memory; no check where
+    that cannot be read.
+
+    Every need is at least 0.6 of the basis arrays (_basis_bytes; dense
+    24 dim^2 >= 24 dim L, as dim >= L).  So a lattice whose arrays, at the dimension
+    estimated from math.lgamma, take more than twice the available memory
+    is refused at once, with no exact binomial; otherwise dim and L are
+    small, and the need is counted exactly.
+    """
     available = _available_bytes()
-    if available is not None and need > available:
+    if available is None:
+        return
+    where = f"N={N}, L={L}: {what}"
+    log_dim = math.lgamma(N + L) - math.lgamma(N + 1) - math.lgamma(L)
+    if _basis_bytes(math.exp(min(log_dim, 300.0)), L) > 2 * available:  # e^300 states fit nowhere
         raise CapacityError(
-            f"{what} needs about {need} bytes, "
+            f"{where} of about 10^{log_dim / math.log(10):.1f} states needs more than "
+            f"the {available} bytes of memory available"
+        )
+    dim = basis_dimension(N, L)
+    needed = need(dim)
+    if needed > available:
+        raise CapacityError(
+            f"{where} of dimension {dim} needs about {needed} bytes, "
             f"but only {available} bytes of memory are available"
         )
 
 
-def require_capacity(N: int, L: int) -> int:
-    """Dimension of the (N, L) basis, once it passes both refusals of
-    sector_spectrum: BASIS_CAP on the full dimension, and the memory gate
-    on the largest block."""
-    dim = _refuse_past_cap(N, L)
-    _refuse_past_memory(
-        f"sector diagonalization of dimension {dim} (largest block {orbit_count(N, L)})",
-        sector_bytes(N, L),
-    )
-    return dim
+def require_capacity(N: int, L: int) -> None:
+    """The refusal of sector_spectrum: CapacityError when its solve would not
+    fit in the available memory (sector_bytes)."""
+    _refuse_past_memory("sector diagonalization", N, L, lambda dim: sector_bytes(N, L))
 
 
 def _available_bytes() -> int | None:
-    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be read."""
+    """MemAvailable of /proc/meminfo in bytes; where that cannot be read, the
+    physical memory (os.sysconf); None where neither can."""
     try:
         with open("/proc/meminfo") as fh:
             for line in fh:
@@ -217,7 +228,11 @@ def _available_bytes() -> int | None:
                     return int(line.split()[1]) * 1024
     except (OSError, ValueError, IndexError):
         pass
-    return None
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * size if pages > 0 and size > 0 else None
 
 
 def _hops(basis: FockBasis, rows: np.ndarray):
@@ -254,7 +269,7 @@ def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
     if U < 0:
         raise BadParameterError(f"interaction must be non-negative, got U={U}")
     dim = basis.dim
-    _refuse_past_memory(f"dense diagonalization of dimension {dim}", dense_bytes(dim))
+    _refuse_past_memory("dense diagonalization", basis.N, basis.L, dense_bytes)
     source, target, root = _hops(basis, np.arange(dim))
     hop = np.zeros((dim, dim))
     np.add.at(hop, (target, source), -J * root)
@@ -341,8 +356,6 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise BadParameterError(f"matrix must be square, got shape {H.shape}")
-    if dim > BASIS_CAP:
-        raise CapacityError(f"matrix dimension {dim} exceeds the cap {BASIS_CAP}")
     w, V = scipy.linalg.eigh(H)
     residual, gap = _checked(w, _worst_residual(H, V, w))
     result = SpectrumResult(
@@ -397,13 +410,13 @@ def ground_density_fault(ground_row, N: int, L: int) -> str | None:
 
 
 def diagonalize(lattice: LatticeSpec) -> SpectrumResult:
-    """Basis, Hamiltonian, spectrum and density elements for one lattice.
+    """Basis, Hamiltonian, spectrum and density elements for one lattice: the
+    dense oracle of sector_spectrum.
 
     The memory gate of build_hamiltonian is checked before the basis is
     built, so a refused lattice allocates nothing.
     """
-    dim = _refuse_past_cap(lattice.N, lattice.L)
-    _refuse_past_memory(f"dense diagonalization of dimension {dim}", dense_bytes(dim))
+    _refuse_past_memory("dense diagonalization", lattice.N, lattice.L, dense_bytes)
     basis = enumerate_basis(lattice.N, lattice.L)
     H = build_hamiltonian(basis, lattice.J, lattice.U)
     return full_spectrum(H, basis)
@@ -475,7 +488,7 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     -K, of the same weight.  The weights do not depend on any eigenvector
     phase.  Channels are in ascending order of energy.
 
-    The refusals of require_capacity come first.  The checks are those of
+    The refusal of require_capacity comes first.  The checks are those of
     full_spectrum (every block's residual against the ||H|| of the whole
     spectrum, and the ground-state gap), the ground channel
     (ground_channel_fault) and the f-sum rule of every K != 0

@@ -4,7 +4,7 @@ One runner, `run`, serves every command from the COMMANDS table: an outer
 loop over lattice configurations and an inner loop over probes, with each
 provenance's curve taken from the CURVES registry.  Before the loops, it
 gathers the lattices whose spectra its sites will read, loads the cached
-ones, checks every miss against the capacity refusals, and then solves the
+ones, checks every miss against the memory refusal, and then solves the
 misses one by one in momentum sectors (exact.sector_spectrum).  The cache
 holds each spectrum's scattering channels: (energy, momentum K, weight)
 per eigenstate.  It returns a
@@ -23,7 +23,6 @@ import os
 import tempfile
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -37,7 +36,7 @@ from .bogoliubov import (
     depletion_quadratic,
     solve_depletion,
 )
-from .errors import BadParameterError, CacheError, CapacityError
+from .errors import BadParameterError, CacheError
 from .exact import (
     SpectrumResult,
     basis_dimension,
@@ -91,7 +90,6 @@ class ScanConfig:
     command: str
     L_values: tuple = (5,)
     n: float = 1.0
-    N: int | None = None
     U_over_J: float = 0.0
     J: float = DEFAULT_J
     V0: float = DEFAULT_V0
@@ -109,7 +107,7 @@ class ScanConfig:
         return self.L_values[0]
 
     def particle_number(self) -> int:
-        return self.N if self.N is not None else LatticeSpec(L=self.L, n=self.n).N
+        return LatticeSpec(L=self.L, n=self.n).N
 
     def filling(self) -> float:
         return self.particle_number() / self.L
@@ -304,21 +302,19 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
     )
 
 
-def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None, where=None):
+def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
     """Spectra of the lattices, in order, going through the on-disk cache.
 
-    Cached spectra are loaded; every other lattice passes the capacity
-    refusals of exact.require_capacity before any is solved, then each is
+    Cached spectra are loaded; every other lattice passes the memory
+    refusal of exact.require_capacity before any is solved, then each is
     solved once in this process (exact.sector_spectrum) and written back.
     Corrupt cache entries are reported as warnings and recomputed.  Hits
     and misses count as if the lattices were asked for one by one: a repeat
     is a hit when there is a cache directory and a miss when there is none.
-    ``where[i]`` prefixes a capacity refusal of lattice i.
     """
     if not lattices:
         return []
     manifest = manifest or RunManifest(command="", parameters={})
-    where = where or [""] * len(lattices)
     if cache_dir is not None:
         _make_dir(cache_dir)
     keys = [_cache_key(lat.N, lat.L, lat.U / lat.J, lat.J) for lat in lattices]
@@ -346,26 +342,15 @@ def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None, wher
         manifest.cache_misses += 1
 
     for i in misses:
-        with _named(where[i]):
-            require_capacity(lattices[i].N, lattices[i].L)
+        require_capacity(lattices[i].N, lattices[i].L)
     start = time.perf_counter()
     for i in misses:
-        with _named(where[i]):
-            spectra[i] = sector_spectrum(lattices[i])
+        spectra[i] = sector_spectrum(lattices[i])
         if cache_dir is not None:
             save_spectrum(cache_path(cache_dir, lattices[i]), spectra[i], lattices[i])
     if misses:
         manifest.record_solves([spectra[i] for i in misses], time.perf_counter() - start)
     return [spectra[first[key]] for key in keys]
-
-
-@contextmanager
-def _named(where):
-    """Prefix a capacity refusal with the cell it names."""
-    try:
-        yield
-    except CapacityError as exc:
-        raise CapacityError(f"{where}{exc}") from exc
 
 
 def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None = None):
@@ -468,12 +453,11 @@ class Site:
     that reads it.
     """
 
-    def __init__(self, config, manifest, kinds, lattice, probes, label=(), u=None, where=""):
+    def __init__(self, config, manifest, kinds, lattice, probes, label=(), u=None):
         self.config, self.manifest, self.kinds = config, manifest, kinds
         self.lattice, self.probes, self.label = lattice, probes, label
         # interaction u = U n / J of the linear decay law
         self.u = lattice.u_dimensionless if u is None else u
-        self.where = where  # prefixes a capacity refusal
         self._curves = {}
 
     @cached_property
@@ -612,8 +596,7 @@ def _filling_cells(config, kinds, manifest):
             raise BadParameterError(f"cell n={n} realizes N=0 on L={L}")
         for u_over_j in map(float, config.u_grid):
             lattice = LatticeSpec(L=L, n=n, U=u_over_j * config.J, J=config.J, V0=config.V0)
-            where = f"deviation cell n={n}, U/J={u_over_j}: "
-            sites.append(Site(config, manifest, kinds, lattice, probes, (n, u_over_j), where=where))
+            sites.append(Site(config, manifest, kinds, lattice, probes, (n, u_over_j)))
     return sites
 
 
@@ -776,9 +759,7 @@ def run(config: ScanConfig):
         s for s in sites
         if "exact" in s.kinds or config.command in ("compare", "deviation-map")
     ]
-    spectra = cache_spectra(
-        [s.lattice for s in reading], config.cache_dir, manifest, [s.where for s in reading]
-    )
+    spectra = cache_spectra([s.lattice for s in reading], config.cache_dir, manifest)
     for site, spectrum in zip(reading, spectra):
         site.exact = exact_cross_sections(spectrum, site.lattice, site.probes)
     per_angle = "theta" in command.columns

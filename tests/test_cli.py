@@ -9,6 +9,7 @@ import pytest
 
 from latscat.cli import build_parser, main, read_config_file, resolve_config
 from latscat.errors import BadParameterError
+from latscat.scans import ScanConfig
 
 
 def run_cli(tmp_path, *args):
@@ -255,6 +256,17 @@ def test_resolve_accepts_consistent_N_and_n():
     assert config.particle_number() == 10
 
 
+def test_N_alone_resolves_to_its_filling(tmp_path):
+    args = build_parser().parse_args(["theta-scan", "--L", "5", "--N", "3"])
+    config = resolve_config(args)
+    assert "N" not in ScanConfig.__dataclass_fields__  # n is the only filling field
+    assert config.n == 0.6 and config.particle_number() == 3
+    code, _, manifest = run_cli(tmp_path, "theta-scan", "--L", "5", "--N", "3", "--theta-grid", "3")
+    assert code == 0
+    assert (manifest["parameters"]["N"], manifest["parameters"]["n"]) == (3, 0.6)
+    assert manifest["parameters"]["realized_n"] == 0.6
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -319,12 +331,15 @@ def test_exit_2_directory_that_is_a_file(tmp_path, capsys, flag, path):
     assert not (tmp_path / "run.csv").exists()
 
 
-def test_exit_3_capacity(tmp_path, capsys):
+def test_exit_3_capacity(tmp_path, capsys, monkeypatch):
+    # 135751 states in 27152 orbits: about 35 GB in sectors
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 8 * 2**30)
     code, _, _ = run_cli(
         tmp_path, "compare", "--L", "5", "--N", "40", "--theta-grid", "3"
     )
     assert code == 3
-    assert "capacity" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "capacity" in err and "N=40, L=5" in err
 
 
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):

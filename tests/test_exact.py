@@ -4,6 +4,7 @@ Analytic landmarks (single-particle Bloch energies, free-gas ground energy,
 atomic-limit product states) anchor the Hamiltonian; a second eigensolver
 and an explicitly-built structure-factor sum serve as independent oracles.
 """
+import os
 from unittest import mock
 
 import numpy as np
@@ -64,12 +65,34 @@ def test_enumerate_basis_index_roundtrip():
     assert np.all(basis.states.sum(axis=1) == 4)
 
 
-def test_enumerate_basis_cap(monkeypatch):
-    with pytest.raises(CapacityError):
-        enumerate_basis(40, 5)  # C(44,40) = 135751
-    monkeypatch.setattr(exact, "BASIS_CAP", 1000)
-    with pytest.raises(CapacityError):
-        enumerate_basis(10, 5)
+def test_enumerate_basis_refuses_by_memory(monkeypatch):
+    # dimension C(5,3) = 10: its arrays need about 5 * 8 * 10 * 3 = 1200 bytes
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 1199)
+    with pytest.raises(
+        CapacityError, match="N=3, L=3: basis enumeration of dimension 10 needs about 1200 bytes"
+    ):
+        enumerate_basis(3, 3)
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 1200)
+    assert enumerate_basis(3, 3).dim == 10
+
+
+@pytest.mark.parametrize("N, L", [(20000, 20000), (10**6, 10**6), (1, 10**9)])
+@pytest.mark.parametrize("solve", [
+    exact.require_capacity,
+    enumerate_basis,
+    lambda N, L: diagonalize(LatticeSpec(L=L, n=N / L)),
+], ids=["require_capacity", "enumerate_basis", "diagonalize"])
+def test_a_hopeless_lattice_is_refused_without_its_exact_binomial(monkeypatch, solve, N, L):
+    def never(*args):
+        raise AssertionError("an exact count was computed")
+
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 8 * 2**30)
+    for name in ("basis_dimension", "orbit_count"):
+        monkeypatch.setattr(exact, name, never)
+    monkeypatch.setattr(exact.math, "comb", never)
+    with pytest.raises(CapacityError, match=f"N={N}, L={L}: ") as refusal:
+        solve(N, L)
+    assert len(str(refusal.value)) < 200
 
 
 def test_dense_memory_gate_comes_before_the_basis(monkeypatch):
@@ -80,7 +103,7 @@ def test_dense_memory_gate_comes_before_the_basis(monkeypatch):
         raise AssertionError("the basis was built before the gate")
 
     monkeypatch.setattr("latscat.exact.enumerate_basis", never)
-    with pytest.raises(CapacityError, match="dense diagonalization of dimension 3000"):
+    with pytest.raises(CapacityError, match="N=1, L=3000: dense diagonalization"):
         diagonalize(LatticeSpec(L=3000, n=1 / 3000))
 
 
@@ -151,10 +174,18 @@ def test_memory_gate_is_skipped_where_available_memory_is_unknown(monkeypatch):
 
 
 def test_available_memory_reads_none_without_meminfo():
+    # and without the physical memory of os.sysconf
     with mock.patch("builtins.open", side_effect=OSError("no such file")):
-        assert exact._available_bytes() is None
+        with mock.patch("os.sysconf", side_effect=ValueError("unknown name")):
+            assert exact._available_bytes() is None
     available = exact._available_bytes()
     assert available is None or available > 0
+
+
+def test_available_memory_falls_back_to_the_physical_memory():
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    with mock.patch("builtins.open", side_effect=OSError("no such file")):
+        assert exact._available_bytes() == physical > 0
 
 
 def test_full_spectrum_against_second_solver():

@@ -1,6 +1,6 @@
 """In-process solves and pickle round trips.
 
-No worker processes remain, despite this module's name: a run loads its
+No worker processes remain: a run loads its
 cached spectra and solves every miss in momentum sectors, one after
 another, in the process that asked.  These tests pin what that must keep:
 a failing solve leaves no child process behind, a fully cached run imports

@@ -277,7 +277,6 @@ def test_theta_scan_sf_and_mi_share_elastic_column():
     cfg = ScanConfig(
         command="theta-scan",
         L_values=(9,),
-        N=9,
         U_over_J=20.0,
         theta_points=21,
         provenance=("sf-limit", "mi-limit"),
@@ -401,9 +400,11 @@ def test_deviation_map_improves_with_filling():
     assert dep[5.0] > dep[1.0]
 
 
-def test_deviation_map_names_failing_cell():
+def test_deviation_map_names_failing_cell(monkeypatch):
+    # the first cell, n = 0.2, holds N = 6 on L = 30: about 140 GB in sectors
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 8 * 2**30)
     cfg = ScanConfig(command="deviation-map", L_values=(30,), n=1.0, u_grid=(1.0,))
-    with pytest.raises(CapacityError, match="cell n=0.2"):
+    with pytest.raises(CapacityError, match="N=6, L=30: "):
         run(cfg)
 
 
@@ -412,7 +413,7 @@ def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
     # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes for its sector solve
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1967)
     cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_points=3)
-    with pytest.raises(CapacityError, match=r"cell n=1.0, U/J=1.0: .* 1968 bytes.* 1967 bytes"):
+    with pytest.raises(CapacityError, match=r"N=3, L=3: .* 1968 bytes.* 1967 bytes"):
         run(cfg)
 
 
@@ -458,7 +459,7 @@ def test_slope_reference_diverges_at_forward_angle():
 
 def test_compare_reports_per_angle_deviation():
     cfg = ScanConfig(
-        command="compare", L_values=(5,), N=5, U_over_J=1.0, theta_points=9
+        command="compare", L_values=(5,), U_over_J=1.0, theta_points=9
     )
     table, manifest = run(cfg)
     assert len(table.rows) == 18
@@ -558,7 +559,7 @@ def test_artifacts_honour_the_umask(tmp_path):
 
 def test_rows_follow_the_requested_provenances():
     cfg = ScanConfig(
-        command="compare", L_values=(4,), N=4, U_over_J=1.0, theta_points=3,
+        command="compare", L_values=(4,), U_over_J=1.0, theta_points=3,
         provenance=("bogoliubov",),
     )
     table, manifest = run(cfg)

@@ -89,9 +89,24 @@ def test_orbit_count_is_the_number_of_translation_orbits(N, L):
     )
 
 
-def test_sector_solve_keeps_the_basis_cap():
-    with pytest.raises(CapacityError, match="exceeds the cap"):
-        sector_spectrum(LatticeSpec(L=5, n=8.0))  # C(44, 40) = 135751 states
+def test_sector_solve_refuses_by_memory(monkeypatch):
+    # dimension C(5,3) = 10 in 4 orbits: 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 1967)
+    with pytest.raises(
+        CapacityError, match="N=3, L=3: sector diagonalization of dimension 10 needs about 1968 bytes"
+    ):
+        sector_spectrum(LatticeSpec(L=3, n=1.0))
+
+
+def test_a_solve_past_thirty_thousand_states_passes_every_check():
+    # dimension C(59, 3) = 32509 in 571 orbits: a gate of about 90 MB
+    lattice = LatticeSpec(L=57, n=3 / 57, U=J, J=J)
+    spectrum = sector_spectrum(lattice)
+    assert spectrum.weights.size == basis_dimension(3, 57) == 32509
+    assert spectrum.residual <= exact.RESIDUAL_TOL
+    assert spectrum.fsum_residual <= exact.FSUM_TOL
+    assert spectrum.ground_gap > 0
+    assert exact.ground_channel_fault(spectrum.momenta[0], spectrum.weights[0], 3, 57) is None
 
 
 def test_sector_table_is_real_and_keeps_the_ground_row():
