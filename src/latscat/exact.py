@@ -12,12 +12,14 @@ goes through model.open_channel_sum, which takes the probes of a curve at
 once; non-finite parameters are refused.
 
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
-and hands it to SciPy's eigensolver; it is the oracle, and its result
-carries the dim x L table of <e|n_j|g>.  ``sector_spectrum`` splits the
-chain into its lattice-momentum sectors K = 2 pi m / L, built straight
-from the representatives of the translation orbits (Sandvik,
-arXiv:1101.3281), so each block has about dim / L states, and every block
-is real.  Both share one hop enumeration, which ranks Fock states by a
+and hands its own storage to SciPy's eigensolver, which writes it during
+the call; full_spectrum restores it bit for bit afterwards, so one matrix
+must not be shared by threads that solve it at the same time.  This path
+is the oracle, and its result carries the dim x L table of <e|n_j|g>.
+``sector_spectrum`` splits the chain into its lattice-momentum sectors
+K = 2 pi m / L, built straight from the representatives of the
+translation orbits (Sandvik, arXiv:1101.3281), so each block has about
+dim / L states, and every block is real.  Both share one hop enumeration, which ranks Fock states by a
 combinatorial code (Zhang & Dong, arXiv:1102.4006).  An eigenstate of
 momentum K has <e|n_j|g> = e^{iKj} c with c = <e|n_0|g>, so the sector
 solver returns one channel per eigenstate instead of a table: its energy,
@@ -49,8 +51,17 @@ from .model import (
 )
 
 # Dense diagonalization holds about this many dim x dim double matrices at
-# once: the Hamiltonian, the eigenvectors and the solver's workspace.
-DENSE_MATRICES = 3
+# once: the Hamiltonian and the eigenvectors, plus the strips of the
+# residual check.  There is no copy of H: full_spectrum solves in H's own
+# storage, which it writes during the call and restores before it returns,
+# so one H must not be shared by threads that call full_spectrum at the
+# same time.  Measured tracemalloc peaks of diagonalize: 2.40, 2.23 and
+# 2.13 matrices at dims 1001, 1716 and 3003.
+DENSE_MATRICES = 2.5
+
+# The dense checks and the restore of _eigh work in strips of this many rows
+# or columns, so their temporaries stay small beside the dim x dim matrices.
+BLOCK = 128
 
 # The sector solve holds about this many real matrices of its largest
 # block at once (the block beside numpy.linalg.eigh's copy, workspaces and
@@ -152,7 +163,7 @@ def enumerate_basis(N: int, L: int) -> FockBasis:
 
 def dense_bytes(dim: int) -> int:
     """Memory one dense diagonalization of dimension dim holds at once, in bytes."""
-    return DENSE_MATRICES * 8 * dim * dim
+    return round(8 * DENSE_MATRICES) * dim * dim
 
 
 def orbit_count(N: int, L: int) -> int:
@@ -187,18 +198,18 @@ def _refuse_past_memory(what: str, N: int, L: int, need) -> None:
     bytes at once, would not fit in the available memory; no check where
     that cannot be read.
 
-    Every need is at least 0.6 of the basis arrays (_basis_bytes; dense
-    24 dim^2 >= 24 dim L, as dim >= L).  So a lattice whose arrays, at the dimension
-    estimated from math.lgamma, take more than twice the available memory
-    is refused at once, with no exact binomial; otherwise dim and L are
-    small, and the need is counted exactly.
+    Every need is at least half the basis arrays (_basis_bytes; dense
+    20 dim^2 >= 20 dim L, as dim >= L).  So a lattice whose arrays, at the
+    dimension estimated from math.lgamma, take more than three times the
+    available memory is refused at once, with no exact binomial; otherwise
+    dim and L are small, and the need is counted exactly.
     """
     available = _available_bytes()
     if available is None:
         return
     where = f"N={N}, L={L}: {what}"
     log_dim = math.lgamma(N + L) - math.lgamma(N + 1) - math.lgamma(L)
-    if _basis_bytes(math.exp(min(log_dim, 300.0)), L) > 2 * available:  # e^300 states fit nowhere
+    if _basis_bytes(math.exp(min(log_dim, 300.0)), L) > 3 * available:  # e^300 states fit nowhere
         raise CapacityError(
             f"{where} of about 10^{log_dim / math.log(10):.1f} states needs more than "
             f"the {available} bytes of memory available"
@@ -271,9 +282,13 @@ def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
     dim = basis.dim
     _refuse_past_memory("dense diagonalization", basis.N, basis.L, dense_bytes)
     source, target, root = _hops(basis, np.arange(dim))
-    hop = np.zeros((dim, dim))
-    np.add.at(hop, (target, source), -J * root)
-    H = hop + hop.T
+    # Both directions go into one matrix, with no hop + hop.T temporary.  No
+    # element takes more than two hops (two only at L = 2, where a pair of
+    # states is linked once each way round the ring), and a sum of two terms
+    # does not depend on their order, so H is hop + hop.T bit for bit.
+    H = np.zeros((dim, dim))
+    np.add.at(H, (target, source), -J * root)
+    np.add.at(H, (source, target), -J * root)
     diag = 0.5 * U * np.sum(basis.states * (basis.states - 1), axis=1)
     H[np.diag_indices(dim)] += diag
     return H
@@ -308,10 +323,10 @@ class SpectrumResult:
 
 
 def _worst_residual(H: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
-    """Largest ||H v - lambda v|| over the eigenpairs, in blocks of 512 columns."""
+    """Largest ||H v - lambda v|| over the eigenpairs, in blocks of BLOCK columns."""
     worst = 0.0
-    for start in range(0, w.size, 512):
-        block = slice(start, min(start + 512, w.size))
+    for start in range(0, w.size, BLOCK):
+        block = slice(start, start + BLOCK)
         R = H @ V[:, block] - V[:, block] * w[block]
         worst = max(worst, float(np.max(np.linalg.norm(R, axis=0))))
     return worst
@@ -342,6 +357,57 @@ def _checked(w: np.ndarray, worst: float):
     return float(worst / norm), gap
 
 
+def _exactly_symmetric(H: np.ndarray) -> bool:
+    """Whether H equals its transpose element for element, checked in
+    strips of BLOCK rows, each right of its diagonal, so that no dim x dim
+    temporary is made."""
+    return all(
+        np.array_equal(H[start : start + BLOCK, start:], H[start:, start : start + BLOCK].T)
+        for start in range(0, H.shape[0], BLOCK)
+    )
+
+
+def _mirror_lower(H: np.ndarray) -> None:
+    """Overwrite the strict upper triangle of H with its strict lower one,
+    in strips of BLOCK rows."""
+    dim = H.shape[0]
+    for start in range(0, dim, BLOCK):
+        stop = min(start + BLOCK, dim)
+        H[start:stop, stop:] = H[stop:, start:stop].T
+        square = H[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        square[upper] = square.T[upper]
+
+
+def _eigh(H: np.ndarray):
+    """scipy.linalg.eigh(H), in H's own storage where that is safe.
+
+    An exactly symmetric, writeable, C-contiguous float64 H is handed to
+    LAPACK as H.T, a Fortran-ordered array that holds the same numbers as
+    the copy SciPy would make, so the solve reads the same inputs without
+    a second dim x dim matrix.  The solver destroys H's upper triangle and
+    diagonal; the finally block rebuilds them from the lower triangle,
+    which it leaves alone, and from a saved diagonal, so H is
+    bit-identical afterwards even when the solve raises.  Any other H is
+    copied by SciPy and never written.
+    """
+    import scipy.linalg
+
+    if not (
+        H.dtype == np.float64
+        and H.flags.c_contiguous
+        and H.flags.writeable
+        and _exactly_symmetric(H)
+    ):
+        return scipy.linalg.eigh(H)
+    diagonal = H.diagonal().copy()
+    try:
+        return scipy.linalg.eigh(H.T, overwrite_a=True)
+    finally:
+        _mirror_lower(H)
+        H[np.diag_indices(H.shape[0])] = diagonal
+
+
 def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResult:
     """All eigenpairs of a dense symmetric matrix, with sanity checks.
 
@@ -350,13 +416,18 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
     When a basis is supplied the density matrix elements are filled in.
     SciPy is imported here, the only place that needs it, so a scan run,
     which solves in sectors, never loads it.
-    """
-    import scipy.linalg
 
+    An exactly symmetric, writeable, C-contiguous float64 H is solved in
+    its own storage (_eigh): it is written during the call and restored
+    bit for bit before the call returns or raises, so the solve holds two
+    dim x dim matrices, H and the eigenvectors, instead of three.  One H
+    must therefore not be shared by threads that call full_spectrum at
+    the same time.  Any other H is copied and never written.
+    """
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise BadParameterError(f"matrix must be square, got shape {H.shape}")
-    w, V = scipy.linalg.eigh(H)
+    w, V = _eigh(H)
     residual, gap = _checked(w, _worst_residual(H, V, w))
     result = SpectrumResult(
         eigenvalues=w,

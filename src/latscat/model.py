@@ -12,6 +12,7 @@ units of a_s^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ class LatticeSpec:
     def __post_init__(self):
         if not isinstance(self.L, (int, np.integer)) or self.L < 2:
             raise BadParameterError(f"lattice needs an integer L >= 2, got {self.L!r}")
+        if self.L > sys.float_info.max:  # exact comparison; n * L would overflow
+            raise BadParameterError(
+                f"lattice needs L below {sys.float_info.max:.4g}, got an L of "
+                f"{int(self.L).bit_length()} bits"
+            )
         if not 0 < self.V0 < math.inf:
             raise BadParameterError(f"lattice depth must be positive and finite, got V0={self.V0}")
         if not 0 < self.J < math.inf:

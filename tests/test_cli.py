@@ -316,6 +316,19 @@ def test_exit_2_non_finite_parameter(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("filling", [("--N", "3"), ("--n", "1")])
+def test_exit_2_lattice_too_long_for_a_float(tmp_path, capsys, filling):
+    # a 401-digit L: n * L cannot be formed in floating point
+    code, out, _ = run_cli(
+        tmp_path, "theta-scan", "--provenance", "exact", "--theta-grid", "3",
+        "--L", "1" + "0" * 400, *filling,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latscat: error:") and "L below" in err and len(err) < 200
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, path", [("--cache-dir", "afile"), ("--out", "afile/x.csv")])
 def test_exit_2_directory_that_is_a_file(tmp_path, capsys, flag, path):
     afile = tmp_path / "afile"

@@ -5,10 +5,14 @@ atomic-limit product states) anchor the Hamiltonian; a second eigensolver
 and an explicitly-built structure-factor sum serve as independent oracles.
 """
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from latscat import exact
@@ -96,7 +100,7 @@ def test_a_hopeless_lattice_is_refused_without_its_exact_binomial(monkeypatch, s
 
 
 def test_dense_memory_gate_comes_before_the_basis(monkeypatch):
-    # dimension 3000 needs 216 MB dense; refused before its basis is built
+    # dimension 3000 needs 180 MB dense; refused before its basis is built
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**20)
 
     def never(N, L):
@@ -160,11 +164,11 @@ def test_hamiltonian_rejects_negative_couplings():
 
 
 def test_hamiltonian_refuses_a_basis_whose_dense_solve_would_not_fit(monkeypatch):
-    basis = enumerate_basis(3, 3)  # dimension 10: about 3 * 8 * 10^2 = 2400 bytes
-    monkeypatch.setattr(exact, "_available_bytes", lambda: 2399)
-    with pytest.raises(CapacityError, match="dimension 10 needs about 2400 bytes.* 2399 bytes"):
+    basis = enumerate_basis(3, 3)  # dimension 10: about 2.5 * 8 * 10^2 = 2000 bytes
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 1999)
+    with pytest.raises(CapacityError, match="dimension 10 needs about 2000 bytes.* 1999 bytes"):
         build_hamiltonian(basis, J, 0.0)
-    monkeypatch.setattr(exact, "_available_bytes", lambda: 2400)
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 2000)
     assert build_hamiltonian(basis, J, 0.0).shape == (10, 10)
 
 
@@ -207,6 +211,112 @@ def test_full_spectrum_flags_degenerate_ground_state():
 def test_full_spectrum_trivial_matrix():
     result = full_spectrum(np.array([[3.5]]))
     assert result.eigenvalues[0] == 3.5
+
+
+# ------------------------------------------------------- in-place solve
+
+
+@pytest.fixture
+def eigh_inputs(monkeypatch):
+    """Spy on scipy.linalg.eigh: (matrix, overwrite_a) of each call, in order."""
+    solve, seen = scipy.linalg.eigh, []
+
+    def spy(a, *args, **kwargs):
+        seen.append((a, kwargs.get("overwrite_a", False)))
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return seen
+
+
+def test_full_spectrum_solves_in_H_and_leaves_it_bit_identical(eigh_inputs):
+    basis = enumerate_basis(6, 4)
+    H = build_hamiltonian(basis, J=J, U=1.7 * J)
+    before = H.copy()
+    result = full_spectrum(H, basis)
+    a, overwrite = eigh_inputs[0]
+    assert overwrite and np.shares_memory(a, H)  # no dim x dim copy
+    assert np.array_equal(H, before)
+    w, V = scipy.linalg.eigh(before)
+    assert np.array_equal(result.eigenvalues, w) and np.array_equal(result.eigenvectors, V)
+
+
+def test_full_spectrum_restores_H_when_the_solve_raises(monkeypatch):
+    # the fake spoils what LAPACK may destroy, its input's lower triangle with
+    # the diagonal (H's upper triangle), and fails
+    def spoil(a, *args, lower=True, **kwargs):
+        assert kwargs.get("overwrite_a") and lower
+        a[np.tril_indices(a.shape[0])] = np.nan
+        raise np.linalg.LinAlgError("the solve failed")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spoil)
+    H = build_hamiltonian(enumerate_basis(3, 5), J=J, U=J)  # dimension 35: several strips
+    before = H.copy()
+    with pytest.raises(np.linalg.LinAlgError, match="the solve failed"):
+        full_spectrum(H)
+    assert np.array_equal(H, before)
+
+
+def _read_only(H):
+    H.flags.writeable = False
+    return H
+
+
+def _one_ulp_off(H):
+    # SciPy's copy hands LAPACK H[1, 0]; H's own storage would hand it H[0, 1]
+    H[0, 1] = np.nextafter(H[0, 1], np.inf)
+    return H
+
+
+@pytest.mark.parametrize("make", [
+    _read_only, np.asfortranarray, lambda H: H.astype(np.float32), _one_ulp_off,
+], ids=["read-only", "F-ordered", "float32", "not-symmetric"])
+def test_a_matrix_that_cannot_be_solved_in_place_is_copied(eigh_inputs, make):
+    H = make(build_hamiltonian(enumerate_basis(3, 4), J=J, U=0.6 * J))
+    before = H.copy()
+    w, V = exact._eigh(H)
+    assert eigh_inputs[0][1] is False  # SciPy solves a copy of its own
+    assert np.array_equal(H, before) and H.dtype == before.dtype
+    w_ref, V_ref = scipy.linalg.eigh(before.copy())
+    assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    L=st.integers(2, 7),
+    N=st.integers(1, 6),
+    u_over_j=st.one_of(st.just(0.0), st.floats(0.01, 30.0)),
+)
+def test_in_place_solve_is_scipy_on_a_copy_bit_for_bit(L, N, u_over_j):
+    basis = enumerate_basis(N, L)
+    assume(basis.dim <= 300)
+    U = u_over_j * J
+    H = build_hamiltonian(basis, J, U)
+    source, target, root = exact._hops(basis, np.arange(basis.dim))
+    hop = np.zeros((basis.dim, basis.dim))
+    np.add.at(hop, (target, source), -J * root)
+    reference = hop + hop.T
+    reference[np.diag_indices(basis.dim)] += 0.5 * U * np.sum(basis.states * (basis.states - 1), axis=1)
+    assert np.array_equal(H, reference)
+
+    w, V = scipy.linalg.eigh(H.copy())
+    result = full_spectrum(H)
+    assert np.array_equal(result.eigenvalues, w) and np.array_equal(result.eigenvectors, V)
+    assert np.array_equal(H, reference)
+
+
+@pytest.mark.parametrize("N, L", [(10, 5), (7, 7)])  # dimensions 1001 and 1716
+def test_dense_memory_gate_is_the_measured_peak(N, L):
+    # the gate's DENSE_MATRICES is a measured count, neither far above nor below
+    dim = basis_dimension(N, L)
+    lattice = LatticeSpec(L=L, n=N / L, U=0.9 * J, J=J)
+    tracemalloc.start()
+    try:
+        diagonalize(lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.8 * exact.dense_bytes(dim) <= peak <= exact.dense_bytes(dim)
 
 
 # -------------------------------------------------------- density elements

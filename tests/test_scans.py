@@ -418,7 +418,7 @@ def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
 
 
 def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):
-    # dimension 1001 in 201 orbits: about 4.1 MB in sectors, 24 MB dense
+    # dimension 1001 in 201 orbits: about 4.1 MB in sectors, 20 MB dense
     available = 10 * 2**20
     assert exact.sector_bytes(10, 5) < available < exact.dense_bytes(1001)
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
