@@ -14,8 +14,9 @@ once; non-finite parameters are refused.
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
 and hands its own storage to SciPy's eigensolver, which writes it during
 the call; full_spectrum restores it bit for bit afterwards, so one matrix
-must not be shared by threads that solve it at the same time.  This path
-is the oracle, and its result carries the dim x L table of <e|n_j|g>.
+must not be shared by threads that solve it at the same time.  Its checks
+read H's nonzeros once, before the solve, at about 12 bytes each.  This
+path is the oracle, and its result carries the dim x L table of <e|n_j|g>.
 ``sector_spectrum`` splits the chain into its lattice-momentum sectors
 K = 2 pi m / L, built straight from the representatives of the
 translation orbits (Sandvik, arXiv:1101.3281), so each block has about
@@ -52,15 +53,15 @@ from .model import (
 
 # Dense diagonalization holds about this many dim x dim double matrices at
 # once: the Hamiltonian and the eigenvectors, plus the strips of the
-# residual check.  There is no copy of H: full_spectrum solves in H's own
+# residual check.  No dense copy of H is made: full_spectrum solves in H's own
 # storage, which it writes during the call and restores before it returns,
 # so one H must not be shared by threads that call full_spectrum at the
-# same time.  Measured tracemalloc peaks of diagonalize: 2.40, 2.23 and
-# 2.13 matrices at dims 1001, 1716 and 3003.
+# same time.  Measured tracemalloc peaks of diagonalize: 2.41, 2.24 and
+# 2.14 matrices at dims 1001, 1716 and 3003.
 DENSE_MATRICES = 2.5
 
-# The dense checks and the restore of _eigh work in strips of this many rows
-# or columns, so their temporaries stay small beside the dim x dim matrices.
+# The residual check and the restore of _eigh work in strips of this many
+# columns or rows, so their temporaries stay small beside the matrices.
 BLOCK = 128
 
 # The sector solve holds about this many real matrices of its largest
@@ -80,6 +81,14 @@ RESIDUAL_TOL = 1e-8
 # The f-sum rule of every sector solve must hold to this fraction of its
 # rounding scale, ||H|| S0(K) (see fsum_residual).
 FSUM_TOL = 1e-10
+
+# The zeroth moment of every sector solve must equal <g|rho_{-K} rho_K|g>
+# to this relative residual (see sector_spectrum).  Measured over 112
+# lattices (L <= 12 up to 1300 orbits, and four chains up to L = 100) at
+# 14 interactions: at most 4.0e-15 up to U/J = 1e8; 2.6e-11 at
+# (L, N, U/J) = (6, 6, 1e10), where the ground vector's smallest
+# components carry the rounding of ||H|| ~ U.
+S0_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -304,9 +313,10 @@ class SpectrumResult:
     in (-pi, pi], and ``weights[e]`` = |<e|n_0|g>|^2.  ``eigenvectors`` is
     None when the result was reconstructed from a cache file or solved in
     sectors (the cross section does not need it).  ``residual`` (the worst
-    eigenpair residual over ||H||), ``ground_gap`` (E_1 - E_0) and
-    ``fsum_residual`` (the worst f-sum residual, sector solves only) are
-    the checks of the solve, None where the spectrum was not solved here.
+    eigenpair residual over ||H||), ``ground_gap`` (E_1 - E_0),
+    ``fsum_residual`` and ``s0_residual`` (the worst f-sum and zeroth-moment
+    residuals, sector solves only) are the checks of the solve, None where
+    the spectrum was not solved here.
     Instances are treated as immutable once construction has filled them.
     """
 
@@ -320,14 +330,15 @@ class SpectrumResult:
     momenta: np.ndarray | None = None
     weights: np.ndarray | None = None
     fsum_residual: float | None = None
+    s0_residual: float | None = None
 
 
-def _worst_residual(H: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
-    """Largest ||H v - lambda v|| over the eigenpairs, in blocks of BLOCK columns."""
+def _worst_residual(A, V: np.ndarray, w: np.ndarray) -> float:
+    """Largest ||A v - lambda v|| of the eigenpairs, A dense or sparse, in BLOCK-column strips."""
     worst = 0.0
     for start in range(0, w.size, BLOCK):
         block = slice(start, start + BLOCK)
-        R = H @ V[:, block] - V[:, block] * w[block]
+        R = A @ V[:, block] - V[:, block] * w[block]
         worst = max(worst, float(np.max(np.linalg.norm(R, axis=0))))
     return worst
 
@@ -357,16 +368,6 @@ def _checked(w: np.ndarray, worst: float):
     return float(worst / norm), gap
 
 
-def _exactly_symmetric(H: np.ndarray) -> bool:
-    """Whether H equals its transpose element for element, checked in
-    strips of BLOCK rows, each right of its diagonal, so that no dim x dim
-    temporary is made."""
-    return all(
-        np.array_equal(H[start : start + BLOCK, start:], H[start:, start : start + BLOCK].T)
-        for start in range(0, H.shape[0], BLOCK)
-    )
-
-
 def _mirror_lower(H: np.ndarray) -> None:
     """Overwrite the strict upper triangle of H with its strict lower one,
     in strips of BLOCK rows."""
@@ -379,8 +380,9 @@ def _mirror_lower(H: np.ndarray) -> None:
         square[upper] = square.T[upper]
 
 
-def _eigh(H: np.ndarray):
-    """scipy.linalg.eigh(H), in H's own storage where that is safe.
+def _eigh(H: np.ndarray, S):
+    """scipy.linalg.eigh(H), in H's own storage where that is safe; H is
+    exactly symmetric when S, its sparse copy made before the solve, is.
 
     An exactly symmetric, writeable, C-contiguous float64 H is handed to
     LAPACK as H.T, a Fortran-ordered array that holds the same numbers as
@@ -397,7 +399,7 @@ def _eigh(H: np.ndarray):
         H.dtype == np.float64
         and H.flags.c_contiguous
         and H.flags.writeable
-        and _exactly_symmetric(H)
+        and (S != S.T).nnz == 0
     ):
         return scipy.linalg.eigh(H)
     diagonal = H.diagonal().copy()
@@ -415,7 +417,10 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
     the ground state is unique (gap above 1e-10 of the spectral range).
     When a basis is supplied the density matrix elements are filled in.
     SciPy is imported here, the only place that needs it, so a scan run,
-    which solves in sectors, never loads it.
+    which solves in sectors, never loads it.  H's nonzeros are read once,
+    before the solve, into a sparse copy (about 12 bytes each) that gives
+    the symmetry test and the residuals: up to 1.5 more dim x dim matrices
+    for a dense (non-Hamiltonian) H, and about 4 while it is built.
 
     An exactly symmetric, writeable, C-contiguous float64 H is solved in
     its own storage (_eigh): it is written during the call and restored
@@ -424,11 +429,14 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
     must therefore not be shared by threads that call full_spectrum at
     the same time.  Any other H is copied and never written.
     """
+    import scipy.sparse
+
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise BadParameterError(f"matrix must be square, got shape {H.shape}")
-    w, V = _eigh(H)
-    residual, gap = _checked(w, _worst_residual(H, V, w))
+    S = scipy.sparse.csr_array(H)
+    w, V = _eigh(H, S)
+    residual, gap = _checked(w, _worst_residual(S, V, w))
     result = SpectrumResult(
         eigenvalues=w,
         eigenvectors=V,
@@ -562,9 +570,13 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     The refusal of require_capacity comes first.  The checks are those of
     full_spectrum (every block's residual against the ||H|| of the whole
     spectrum, and the ground-state gap), the ground channel
-    (ground_channel_fault) and the f-sum rule of every K != 0
-    (fsum_residual, refused above FSUM_TOL).  ``eigenvectors`` and
-    ``density_elements`` are None.
+    (ground_channel_fault), the f-sum rule and the zeroth moment of every
+    K != 0: the f-sum residual (fsum_residual) is refused above FSUM_TOL,
+    and with rho_K = sum_j e^{iKj} n_j, the zeroth moment
+    S0(K) = L^2 sum over K-channels of |c|^2 must equal
+    <g|rho_{-K} rho_K|g> = L^2 sum_r g_r^2 |transform[r, m]|^2 over every
+    orbit r to S0_TOL relative.  ``eigenvectors`` and ``density_elements``
+    are None.
     """
     N, L, J = lattice.N, lattice.L, lattice.J
     require_capacity(N, L)
@@ -579,7 +591,7 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     mirrored = basis.ranks(np.roll(occ[:, ::-1], 1, axis=1))  # n_j -> n_{-j}
     mirror, turned = orbit[mirrored], shift[mirrored]
 
-    values, momenta, weights, worst = [], [], [], 0.0
+    values, momenta, weights, worst, s0 = [], [], [], 0.0, 0.0
     for m in range(L // 2 + 1):
         K = 2 * np.pi * m / L
         members = np.flatnonzero(m * period % L == 0)
@@ -614,6 +626,9 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
                 for a in range(2)
             )
         weight = (C.T @ overlap) ** 2
+        if m:  # the zeroth moment; L^2 cancels
+            direct = np.sum(ground**2 * np.abs(transform[:, m]) ** 2)
+            s0 = max(s0, abs(np.sum(weight) - direct) / direct)
         if m == 0:
             weight[1:] = 0.0  # sum_j n_j |g> = N |g>: no excited K = 0 state has weight
         del block, C  # before the next sector's block is built
@@ -638,6 +653,10 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
         raise NumericalError(
             f"f-sum residual {fsum:.3e} exceeds {FSUM_TOL:.0e}; the sector solve is inconsistent"
         )
+    if not s0 <= S0_TOL:
+        raise NumericalError(
+            f"zeroth-moment residual {s0:.3e} exceeds {S0_TOL:.0e}; the sector solve is inconsistent"
+        )
     return SpectrumResult(
         eigenvalues=w,
         eigenvectors=None,
@@ -648,6 +667,7 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
         momenta=K,
         weights=weight,
         fsum_residual=fsum,
+        s0_residual=float(s0),
     )
 
 

@@ -168,12 +168,13 @@ class RunManifest:
     cache_hits: int = 0
     cache_misses: int = 0
     # the spectra this run solved: how many, their wall seconds, the worst
-    # eigenpair residual over ||H||, the smallest ground-state gap E_1 - E_0
-    # and the worst f-sum residual (exact.fsum_residual) among them
+    # eigenpair residual over ||H||, the smallest ground-state gap E_1 - E_0,
+    # and the worst f-sum (exact.fsum_residual) and zeroth-moment residuals
+    # among them
     spectra: dict = field(
         default_factory=lambda: {
             "solved": 0, "solve_s": 0.0, "worst_residual": None, "min_ground_gap": None,
-            "worst_fsum_residual": None,
+            "worst_fsum_residual": None, "worst_s0_residual": None,
         }
     )
     wall_time_s: float = 0.0
@@ -188,6 +189,9 @@ class RunManifest:
         block["min_ground_gap"] = _fold(min, block["min_ground_gap"], [r.ground_gap for r in results])
         block["worst_fsum_residual"] = _fold(
             max, block["worst_fsum_residual"], [r.fsum_residual for r in results]
+        )
+        block["worst_s0_residual"] = _fold(
+            max, block["worst_s0_residual"], [r.s0_residual for r in results]
         )
 
     def as_dict(self) -> dict:

@@ -11,13 +11,19 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from latscat import exact
 
-from latscat.errors import BadParameterError, CapacityError, DegenerateGroundStateError
+from latscat.errors import (
+    BadParameterError,
+    CapacityError,
+    DegenerateGroundStateError,
+    NumericalError,
+)
 from latscat.exact import (
     ExactCrossSection,
     FockBasis,
@@ -274,7 +280,7 @@ def _one_ulp_off(H):
 def test_a_matrix_that_cannot_be_solved_in_place_is_copied(eigh_inputs, make):
     H = make(build_hamiltonian(enumerate_basis(3, 4), J=J, U=0.6 * J))
     before = H.copy()
-    w, V = exact._eigh(H)
+    w, V = exact._eigh(H, scipy.sparse.csr_array(H))
     assert eigh_inputs[0][1] is False  # SciPy solves a copy of its own
     assert np.array_equal(H, before) and H.dtype == before.dtype
     w_ref, V_ref = scipy.linalg.eigh(before.copy())
@@ -303,6 +309,40 @@ def test_in_place_solve_is_scipy_on_a_copy_bit_for_bit(L, N, u_over_j):
     result = full_spectrum(H)
     assert np.array_equal(result.eigenvalues, w) and np.array_equal(result.eigenvectors, V)
     assert np.array_equal(H, reference)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    L=st.integers(2, 7),
+    N=st.integers(1, 6),
+    u_over_j=st.one_of(st.just(0.0), st.floats(0.01, 30.0)),
+)
+def test_the_sparse_residual_is_the_dense_product_to_rounding(L, N, u_over_j):
+    # full_spectrum takes its residual from the sparse copy of H; the dense
+    # product H @ V of the same eigenpairs gives the same number to rounding
+    basis = enumerate_basis(N, L)
+    assume(basis.dim <= 300)
+    H = build_hamiltonian(basis, J, u_over_j * J)
+    result = full_spectrum(H)
+    w = result.eigenvalues
+    dense = exact._worst_residual(H, result.eigenvectors, w) / max(abs(w[0]), abs(w[-1]))
+    assert abs(result.residual - dense) <= 1e-14
+
+
+def test_a_perturbed_eigenpair_is_still_refused(monkeypatch):
+    solve = scipy.linalg.eigh
+
+    def shifted(a, *args, **kwargs):
+        w, V = solve(a, *args, **kwargs)
+        w[w.size // 2] += 1e-6 * max(abs(w[0]), abs(w[-1]))
+        return w, V
+
+    monkeypatch.setattr(scipy.linalg, "eigh", shifted)
+    H = build_hamiltonian(enumerate_basis(4, 4), J=J, U=1.3 * J)
+    before = H.copy()
+    with pytest.raises(NumericalError, match="eigenpair residual"):
+        full_spectrum(H)
+    assert np.array_equal(H, before)
 
 
 @pytest.mark.parametrize("N, L", [(10, 5), (7, 7)])  # dimensions 1001 and 1716

@@ -65,10 +65,11 @@ def test_a_fully_cached_run_starts_no_worker(tmp_path):
     warm_manifest = json.loads((tmp_path / "warm.manifest.json").read_text())
     assert cold_manifest["spectra"]["solved"] == 2
     assert cold_manifest["spectra"]["worst_fsum_residual"] <= 1e-12
+    assert cold_manifest["spectra"]["worst_s0_residual"] <= 1e-14
     assert warm_manifest["cache"] == {"hits": 2, "misses": 0}
     assert warm_manifest["spectra"] == {
         "solved": 0, "solve_s": 0.0, "worst_residual": None, "min_ground_gap": None,
-        "worst_fsum_residual": None,
+        "worst_fsum_residual": None, "worst_s0_residual": None,
     }
     assert (tmp_path / "cold.csv").read_bytes().split(b"\n", 1)[1] == (
         tmp_path / "warm.csv"

@@ -1,13 +1,13 @@
-"""The momentum-sector solver against the dense oracle and the f-sum rule.
+"""The momentum-sector solver against the dense oracle and the sum rules.
 
 exact.sector_spectrum solves a lattice in its sectors K = 2 pi m / L, each
 block real, and returns one channel (energy, K, weight) per eigenstate,
 which is how every scan run solves; diagonalize (build_hamiltonian,
 full_spectrum, density_elements) stays dense and is the oracle here.  Past
-the oracle's sizes the f-sum rule, which every sector solve checks, is the
-oracle: mutated copies of the solver must fail it.  The two solvers share
-one hop enumeration, so the dense matrix is also pinned, bit for bit,
-against the row-by-row loop it replaced.
+the oracle's sizes the f-sum rule and the zeroth moment, which every sector
+solve checks, are the oracle: mutated copies of the solver must fail them.
+The two solvers share one hop enumeration, so the dense matrix is also
+pinned, bit for bit, against the row-by-row loop it replaced.
 """
 import inspect
 import math
@@ -275,4 +275,33 @@ def test_a_broken_sector_solver_fails_the_f_sum_rule(name):
     lattice = LatticeSpec(L=6, n=1.0, U=1.7 * J, J=J)
     assert broken.sector_spectrum is not sector_spectrum
     with pytest.raises(NumericalError, match="f-sum residual"):
+        broken.sector_spectrum(lattice)
+
+
+S0_MUTATIONS = {
+    "lost sqrt 2 on a mirror pair": (
+        "scale = np.where(pair, math.sqrt(0.5), 1.0) * phase",
+        "scale = np.where(pair, 1.0, 1.0) * phase",
+    ),
+    "parity phase sign": MUTATIONS["parity phase sign"],
+}
+
+
+def test_the_zeroth_moment_holds_to_rounding():
+    # at the three lattices of its first measurement; the f-sum check is off
+    # in the mutants below, so this check alone must refuse them
+    for L, N, u_over_j in [(5, 10, 1.3), (6, 6, 0.7), (8, 8, 5.0)]:
+        spectrum = sector_spectrum(LatticeSpec(L=L, n=N / L, U=u_over_j * J, J=J))
+        assert spectrum.s0_residual <= 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(S0_MUTATIONS))
+def test_a_broken_sector_solver_fails_the_zeroth_moment(name):
+    broken = mutant(*S0_MUTATIONS[name])
+    broken.FSUM_TOL = math.inf
+    # mirror pairs at K = pi/3 and 2 pi/3; at U/J <= 5 the lost sqrt(2)
+    # pulls a K != 0 level under the ground state, and the gap check refuses
+    # it first
+    lattice = LatticeSpec(L=6, n=1.0, U=30 * J, J=J)
+    with pytest.raises(NumericalError, match="zeroth-moment residual"):
         broken.sector_spectrum(lattice)
