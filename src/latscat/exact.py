@@ -79,15 +79,14 @@ DEGENERACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
 
 # The f-sum rule of every sector solve must hold to this fraction of its
-# rounding scale, ||H|| S0(K) (see fsum_residual).
+# rounding scale, ||H|| S0(K) + (1 - cos K) ||H_hop|| (see moment_residuals).
 FSUM_TOL = 1e-10
 
 # The zeroth moment of every sector solve must equal <g|rho_{-K} rho_K|g>
-# to this relative residual (see sector_spectrum).  Measured over 112
-# lattices (L <= 12 up to 1300 orbits, and four chains up to L = 100) at
-# 14 interactions: at most 4.0e-15 up to U/J = 1e8; 2.6e-11 at
-# (L, N, U/J) = (6, 6, 1e10), where the ground vector's smallest
-# components carry the rounding of ||H|| ~ U.
+# to this relative residual (see moment_residuals).  Measured over the 79
+# lattices of L = 2..9, N <= 11, dim <= 7000 at 9 interactions: at most
+# 7.4e-15 up to U/J = 1e8; 3.6e-11 at (L, N, U/J) = (7, 7, 1e10), where the
+# ground vector's smallest components carry the rounding of ||H|| ~ U.
 S0_TOL = 1e-10
 
 
@@ -554,10 +553,11 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
 
     Sector K = 2 pi m / L holds one state |r, K> per translation orbit r
     whose period p has m p = 0 mod L.  The hops out of each representative
-    give its block; at K = 0 and pi it is real in these states, and for
-    0 < K < pi it is taken real in the reflection-even semi-momentum basis
-    (_parity_basis).  numpy.linalg.eigh solves each block.  Only
-    m = 0..L//2 are solved: sector -K has the spectrum of sector K.
+    give its block, assembled by the same lines in every sector in a real
+    basis: each orbit is its own column at K = 0 and pi, and for 0 < K < pi
+    the columns are the reflection-even semi-momentum states (_parity_basis).
+    numpy.linalg.eigh solves each block.  Only m = 0..L//2 are solved:
+    sector -K has the spectrum of sector K.
 
     The ground state g is the lowest of K = 0, and every eigenstate e is
     one channel: its energy, its momentum K and its weight |c|^2 with
@@ -570,13 +570,9 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     The refusal of require_capacity comes first.  The checks are those of
     full_spectrum (every block's residual against the ||H|| of the whole
     spectrum, and the ground-state gap), the ground channel
-    (ground_channel_fault), the f-sum rule and the zeroth moment of every
-    K != 0: the f-sum residual (fsum_residual) is refused above FSUM_TOL,
-    and with rho_K = sum_j e^{iKj} n_j, the zeroth moment
-    S0(K) = L^2 sum over K-channels of |c|^2 must equal
-    <g|rho_{-K} rho_K|g> = L^2 sum_r g_r^2 |transform[r, m]|^2 over every
-    orbit r to S0_TOL relative.  ``eigenvectors`` and ``density_elements``
-    are None.
+    (ground_channel_fault), and the f-sum rule and the zeroth moment of
+    every K != 0 (moment_residuals), refused above FSUM_TOL and S0_TOL.
+    ``eigenvectors`` and ``density_elements`` are None.
     """
     N, L, J = lattice.N, lattice.L, lattice.J
     require_capacity(N, L)
@@ -591,7 +587,7 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     mirrored = basis.ranks(np.roll(occ[:, ::-1], 1, axis=1))  # n_j -> n_{-j}
     mirror, turned = orbit[mirrored], shift[mirrored]
 
-    values, momenta, weights, worst, s0 = [], [], [], 0.0, 0.0
+    values, momenta, weights, worst = [], [], [], 0.0
     for m in range(L // 2 + 1):
         K = 2 * np.pi * m / L
         members = np.flatnonzero(m * period % L == 0)
@@ -599,17 +595,17 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
         position[members] = np.arange(members.size)
         keep = (position[source] >= 0) & (position[into] >= 0)
         rows, cols = position[into[keep]], position[source[keep]]
-        block = np.zeros((members.size, members.size))
-        real = 2 * m % L == 0
-        if real:  # K = 0 or pi: real in the momentum states
-            np.add.at(block, (rows, cols), amplitude[keep] * np.cos(K * turn[keep]))
+        if 2 * m % L == 0:  # K = 0 or pi: real in the momentum states
+            slot, coef = np.arange(members.size)[:, None], np.ones((members.size, 1))
         else:
             slot, coef = _parity_basis(K, members, position, mirror, turned)
-            hop = amplitude[keep] * np.exp(1j * K * turn[keep])
-            for a in range(2):
-                for b in range(2):
-                    term = np.conj(coef[rows, a]) * hop * coef[cols, b]
-                    np.add.at(block, (slot[rows, a], slot[cols, b]), term.real)
+        copies = slot.shape[1]  # the channels of a level: K, or K and -K
+        hop = amplitude[keep] * np.exp(1j * K * turn[keep])
+        block = np.zeros((members.size, members.size))
+        for a in range(copies):
+            for b in range(copies):
+                term = np.conj(coef[rows, a]) * hop * coef[cols, b]
+                np.add.at(block, (slot[rows, a], slot[cols, b]), term.real)
         block = block + block.T
         block[np.diag_indices(members.size)] += onsite[members]
         w, C = np.linalg.eigh(block)
@@ -618,7 +614,7 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
             ground = C[:, 0].copy()  # every orbit has a K = 0 state
             hopping = 2 * np.dot(ground[into], amplitude * ground[source])  # <g|H_hop|g>
         overlap = ground[members] * transform[members, m]  # <r,K|n_0|g>
-        if real:
+        if copies == 1:
             overlap = overlap.real
         else:  # in the parity basis; real, since P C fixes n_0|g> too
             overlap = sum(
@@ -626,20 +622,12 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
                 for a in range(2)
             )
         weight = (C.T @ overlap) ** 2
-        if m:  # the zeroth moment; L^2 cancels
-            direct = np.sum(ground**2 * np.abs(transform[:, m]) ** 2)
-            s0 = max(s0, abs(np.sum(weight) - direct) / direct)
         if m == 0:
             weight[1:] = 0.0  # sum_j n_j |g> = N |g>: no excited K = 0 state has weight
         del block, C  # before the next sector's block is built
-        if real:
-            values.append(w)
-            momenta.append(np.full(w.size, K))
-            weights.append(weight)
-        else:
-            values.append(np.repeat(w, 2))
-            momenta.append(np.tile([K, -K], w.size))
-            weights.append(np.repeat(weight, 2))
+        values.append(np.repeat(w, copies))
+        momenta.append(np.tile([K, -K][:copies], w.size))
+        weights.append(np.repeat(weight, copies))
 
     values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
@@ -648,15 +636,13 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
     fault = ground_channel_fault(K[0], weight[0], N, L)
     if fault:
         raise NumericalError(fault)
-    fsum = fsum_residual(w, K, weight, hopping, L)
-    if not fsum <= FSUM_TOL:
-        raise NumericalError(
-            f"f-sum residual {fsum:.3e} exceeds {FSUM_TOL:.0e}; the sector solve is inconsistent"
-        )
-    if not s0 <= S0_TOL:
-        raise NumericalError(
-            f"zeroth-moment residual {s0:.3e} exceeds {S0_TOL:.0e}; the sector solve is inconsistent"
-        )
+    direct = ground**2 @ np.abs(transform) ** 2  # <g|rho_{-K} rho_K|g> / L^2 for every m
+    fsum, s0 = moment_residuals(w, K, weight, hopping, direct, lattice)
+    for name, value, tol in (("f-sum", fsum, FSUM_TOL), ("zeroth-moment", s0, S0_TOL)):
+        if not value <= tol:
+            raise NumericalError(
+                f"{name} residual {value:.3e} exceeds {tol:.0e}; the sector solve is inconsistent"
+            )
     return SpectrumResult(
         eigenvalues=w,
         eigenvectors=None,
@@ -667,7 +653,7 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
         momenta=K,
         weights=weight,
         fsum_residual=fsum,
-        s0_residual=float(s0),
+        s0_residual=s0,
     )
 
 
@@ -685,26 +671,35 @@ def ground_channel_fault(momentum, weight, N: int, L: int) -> str | None:
     return None
 
 
-def fsum_residual(eigenvalues, momenta, weights, hopping: float, L: int) -> float:
-    """Worst residual of the f-sum rule over the momenta K != 0 of a channel
-    list in ascending order of energy, the ground channel first.
+def moment_residuals(eigenvalues, momenta, weights, hopping: float, direct, lattice) -> tuple:
+    """The worst f-sum and zeroth-moment residuals over the momenta K != 0 of
+    a channel list in ascending order of energy, the ground channel first.
 
     With rho_K = sum_j e^{iKj} n_j, a channel of momentum K carries
-    |<e|rho_{-K}|g>|^2 = L^2 |c|^2, so the rule reads
+    |<e|rho_{-K}|g>|^2 = L^2 |c|^2.  The zeroth moment S0(K) = L^2 sum over
+    K-channels of |c|^2 must equal <g|rho_{-K} rho_K|g> = L^2 ``direct[m]``,
+    K = 2 pi m / L, to a relative residual.  The f-sum rule reads
     S1(K) = L^2 sum over K-channels of omega |c|^2 = (1 - cos K)(-<g|H_hop|g>),
-    omega the excitation energy and ``hopping`` = <g|H_hop|g>.  Each
-    residual |S1(K) - (1 - cos K)(-hopping)| is taken over ||H|| S0(K) plus
-    the right-hand side, S0(K) = L^2 sum |c|^2 the zeroth moment: rounding
-    of the eigenvalues reaches S1 on that scale at any interaction, and a
-    momentum that lost its channels reads about 1.
+    omega the excitation energy and ``hopping`` = <g|H_hop|g>.  Its residual
+    is taken over ||H|| S0(K), the eigenvalues' rounding scale, plus
+    (1 - cos K) ||H_hop|| = (1 - cos K) 2 J N: both sides are expectation
+    values of (1 - cos K) H_hop in the ground vector, whose components carry
+    an absolute rounding however small they are.  Deep in the Mott regime
+    S0 and <g|H_hop|g> fall as J^2/U, and without that term a correct
+    solve's residual grows as U/J.  A momentum that lost its channels reads
+    |<g|H_hop|g>| / (2 J N), about 1 in the superfluid.
     """
+    L = lattice.L
     m = np.rint(np.asarray(momenta) * L / (2 * np.pi)).astype(np.int64) % L
     omega = eigenvalues - eigenvalues[0]
     s1 = L * L * np.bincount(m, omega * weights, L)[1:]
-    s0 = L * L * np.bincount(m, weights, L)[1:]
-    rhs = (1 - np.cos(2 * np.pi * np.arange(1, L) / L)) * -hopping
+    s0 = np.bincount(m, weights, L)[1:]
+    bend = 1 - np.cos(2 * np.pi * np.arange(1, L) / L)  # 1 - cos K
     norm = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-    return float(np.max(np.abs(s1 - rhs) / (norm * s0 + np.abs(rhs))))
+    scale = norm * L * L * s0 + bend * 2 * lattice.J * lattice.N
+    fsum = np.max(np.abs(s1 - bend * -hopping) / scale)
+    zeroth = np.max(np.abs(s0 - direct[1:]) / direct[1:])
+    return float(fsum), float(zeroth)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ class ScanConfig:
     E0: float = DEFAULT_E0
     mass_ratio: float = DEFAULT_MASS_RATIO
     theta_values: tuple | None = None  # explicit angles; None -> uniform grid
-    theta_points: int = DEFAULT_THETA_POINTS
+    theta_points: int | None = None  # None -> the command's own grid
     u_grid: tuple = (0.01, 0.1, 1.0, 5.0, 10.0, 20.0)
     provenance: tuple | None = None
     cache_dir: str | None = None
@@ -125,10 +125,16 @@ class ScanConfig:
             V0=self.V0,
         )
 
-    def thetas(self) -> np.ndarray:
+    def thetas(self, own=None) -> np.ndarray:
+        """The given angles, or a uniform grid of the given count; else the
+        command's ``own`` angles, or DEFAULT_THETA_POINTS uniform ones."""
         if self.theta_values is not None:
             return np.asarray(self.theta_values, dtype=float)
-        return np.linspace(0.0, np.pi / 2, self.theta_points)
+        if self.theta_points is not None:
+            return np.linspace(0.0, np.pi / 2, self.theta_points)
+        if own is not None:
+            return np.asarray(own, dtype=float)
+        return np.linspace(0.0, np.pi / 2, DEFAULT_THETA_POINTS)
 
 
 @dataclass
@@ -568,8 +574,8 @@ def _u_sites(config, kinds, manifest, probes):
 
 
 def _u_points(config, kinds, manifest):
-    """u-scan: one lattice per u on the grid, at theta = pi/4 unless given."""
-    thetas = config.thetas() if config.theta_values is not None else np.array([np.pi / 4])
+    """u-scan: one lattice per u on the grid, at theta = pi/4 unless a grid is given."""
+    thetas = config.thetas(own=[np.pi / 4])
     manifest.parameters["theta_grid"] = [float(t) for t in thetas]
     return _u_sites(config, kinds, manifest, _probes(config, thetas))
 

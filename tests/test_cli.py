@@ -75,6 +75,18 @@ def test_u_scan_grid_expansion(tmp_path):
     assert {float(r["theta"]) for r in rows} == {0.7}
 
 
+def test_u_scan_honours_a_counted_theta_grid(tmp_path):
+    # pi/4 alone is u-scan's own grid; a count asks for a uniform one
+    args = ("u-scan", "--L", "3", "--n", "1", "--u-grid", "0.5", "--provenance", "linear")
+    code, out, manifest = run_cli(tmp_path, *args)
+    assert code == 0 and manifest["parameters"]["theta_grid"] == [np.pi / 4]
+    assert [float(r["theta"]) for r in read_rows(out)] == [np.pi / 4]
+    code, out, manifest = run_cli(tmp_path, *args, "--theta-grid", "5")
+    assert code == 0
+    assert manifest["parameters"]["theta_grid"] == list(np.linspace(0.0, np.pi / 2, 5))
+    assert [float(r["theta"]) for r in read_rows(out)] == list(np.linspace(0.0, np.pi / 2, 5))
+
+
 def test_explicit_angle_list(tmp_path):
     code, _, manifest = run_cli(
         tmp_path, "theta-scan", "--L", "4", "--theta-grid", "0.2,0.4"

@@ -228,10 +228,28 @@ def test_the_f_sum_rule_reaches_the_largest_sizes():
 
 
 def test_a_lost_pair_weight_breaks_the_f_sum_rule():
-    spectrum = sector_spectrum(LatticeSpec(L=5, n=1.0, U=J, J=J))
-    hopping = -1.0  # any scale: only the mismatch matters
-    weights = np.where(spectrum.momenta < 0, 0.0, spectrum.weights)
-    assert exact.fsum_residual(spectrum.eigenvalues, spectrum.momenta, weights, hopping, 5) > 0.1
+    lattice = LatticeSpec(L=5, n=1.0, U=J, J=J)
+    spectrum = sector_spectrum(lattice)
+    w, K, weights = spectrum.eigenvalues, spectrum.momenta, spectrum.weights
+    # the intact channels give both right-hand sides: <g|rho_{-K} rho_K|g>
+    # at every K, and <g|H_hop|g> from the f-sum rule at K = 2 pi / 5
+    m = np.rint(K * 5 / (2 * np.pi)).astype(np.int64) % 5
+    direct = np.bincount(m, weights, 5)
+    hopping = -25 * np.sum((w - w[0]) * weights * (m == 1)) / (1 - np.cos(2 * np.pi / 5))
+    assert max(exact.moment_residuals(w, K, weights, hopping, direct, lattice)) <= 1e-12
+    lost = np.where(K < 0, 0.0, weights)
+    fsum, s0 = exact.moment_residuals(w, K, lost, hopping, direct, lattice)
+    assert fsum > 0.1 and s0 == 1.0
+
+
+@pytest.mark.parametrize("L", [3, 4, 6])
+def test_deep_mott_solves_hold_the_f_sum_rule(L):
+    # at N = L the ground vector's components off the Mott state are of
+    # order J/U and carry an absolute rounding; the f-sum scale counts it,
+    # so these correct solves pass every check
+    for u_over_j in (1e6, 1e7, 1e8, 1e9, 1e10):
+        spectrum = sector_spectrum(LatticeSpec(L=L, n=1.0, U=u_over_j * J, J=J))
+        assert spectrum.fsum_residual <= 1e-12, u_over_j
 
 
 def mutant(old: str, new: str):
@@ -262,8 +280,14 @@ MUTATIONS = {
         "amplitude = -J * root",
     ),
     "weight on +K only": (
-        "weights.append(np.repeat(weight, 2))",
-        "weights.append(np.stack([weight, 0 * weight], axis=1).ravel())",
+        "weights.append(np.repeat(weight, copies))",
+        "weights.append(np.stack([weight, 0 * weight], axis=1)[:, :copies].ravel())",
+    ),
+    # the zeroth moment alone does not catch this one: any orthonormal basis
+    # of a sector gives the same S0(K), and only the energies see the block
+    "no momentum phase at K = pi": (
+        "hop = amplitude[keep] * np.exp(1j * K * turn[keep])",
+        "hop = amplitude[keep] * np.exp(1j * K * turn[keep] * (2 * m != L))",
     ),
 }
 
