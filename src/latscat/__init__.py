@@ -13,7 +13,6 @@ from .errors import (
     CapacityError,
     ConvergenceError,
     DegenerateGroundStateError,
-    KinematicallyForbiddenError,
     LatscatError,
     NumericalError,
     UndefinedDeviationError,
@@ -28,10 +27,8 @@ from .model import (
     bloch_dispersion,
     form_factor,
     kappa_elastic,
-    kappa_transferred,
     lattice_sum_sq,
     quasimomentum_grid,
-    wannier_overlap,
 )
 from .exact import (
     ExactCrossSection,
@@ -81,7 +78,6 @@ __all__ = [
     "CapacityError",
     "ConvergenceError",
     "DegenerateGroundStateError",
-    "KinematicallyForbiddenError",
     "LatscatError",
     "NumericalError",
     "UndefinedDeviationError",
@@ -95,10 +91,8 @@ __all__ = [
     "bloch_dispersion",
     "form_factor",
     "kappa_elastic",
-    "kappa_transferred",
     "lattice_sum_sq",
     "quasimomentum_grid",
-    "wannier_overlap",
     # exact diagonalization
     "ExactCrossSection",
     "FockBasis",

@@ -13,10 +13,6 @@ class BadParameterError(LatscatError, ValueError):
     """A parameter is outside its documented domain."""
 
 
-class KinematicallyForbiddenError(BadParameterError):
-    """Requested excitation energy is not reachable by the probe (dE >= E0)."""
-
-
 class CapacityError(LatscatError):
     """A requested computation would not fit in the available memory."""
 

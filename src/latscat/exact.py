@@ -56,13 +56,14 @@ from .model import (
 # residual check.  No dense copy of H is made: full_spectrum solves in H's own
 # storage, which it writes during the call and restores before it returns,
 # so one H must not be shared by threads that call full_spectrum at the
-# same time.  Measured tracemalloc peaks of diagonalize: 2.41, 2.24 and
-# 2.14 matrices at dims 1001, 1716 and 3003.
+# same time.  Measured tracemalloc peaks of diagonalize: 2.10, 2.05 and
+# 2.02 matrices at dims 1001, 1716 and 3003.
 DENSE_MATRICES = 2.5
 
 # The residual check and the restore of _eigh work in strips of this many
-# columns or rows, so their temporaries stay small beside the matrices.
-BLOCK = 128
+# columns or rows, so their temporaries stay small beside the matrices:
+# each is dim x BLOCK, 0.4 MB at dim 3003.
+BLOCK = 16
 
 # The sector solve holds about this many real matrices of its largest
 # block at once (the block beside numpy.linalg.eigh's copy, workspaces and
@@ -83,10 +84,10 @@ RESIDUAL_TOL = 1e-8
 FSUM_TOL = 1e-10
 
 # The zeroth moment of every sector solve must equal <g|rho_{-K} rho_K|g>
-# to this relative residual (see moment_residuals).  Measured over the 79
-# lattices of L = 2..9, N <= 11, dim <= 7000 at 9 interactions: at most
-# 7.4e-15 up to U/J = 1e8; 3.6e-11 at (L, N, U/J) = (7, 7, 1e10), where the
-# ground vector's smallest components carry the rounding of ||H|| ~ U.
+# to this residual, relative above a rounding floor (see moment_residuals).
+# Measured over the 79 lattices of L = 2..9, N <= 11, dim <= 7000 at 13
+# interactions from U/J = 0 to 1e13: at most 1.2e-14, in every solve that
+# the ground-state gap check does not refuse.
 S0_TOL = 1e-10
 
 
@@ -381,16 +382,19 @@ def _mirror_lower(H: np.ndarray) -> None:
 
 def _eigh(H: np.ndarray, S):
     """scipy.linalg.eigh(H), in H's own storage where that is safe; H is
-    exactly symmetric when S, its sparse copy made before the solve, is.
+    exactly symmetric and finite when S, its sparse copy made before the
+    solve, is.
 
-    An exactly symmetric, writeable, C-contiguous float64 H is handed to
-    LAPACK as H.T, a Fortran-ordered array that holds the same numbers as
-    the copy SciPy would make, so the solve reads the same inputs without
-    a second dim x dim matrix.  The solver destroys H's upper triangle and
-    diagonal; the finally block rebuilds them from the lower triangle,
-    which it leaves alone, and from a saved diagonal, so H is
-    bit-identical afterwards even when the solve raises.  Any other H is
-    copied by SciPy and never written.
+    An exactly symmetric, finite, writeable, C-contiguous float64 H is
+    handed to LAPACK as H.T, a Fortran-ordered array that holds the same
+    numbers as the copy SciPy would make, so the solve reads the same
+    inputs without a second dim x dim matrix.  SciPy's own finiteness pass,
+    a dim x dim boolean temporary, is skipped: S's nonzeros have been read
+    instead.  The solver destroys H's upper triangle and diagonal; the
+    finally block rebuilds them from the lower triangle, which it leaves
+    alone, and from a saved diagonal, so H is bit-identical afterwards even
+    when the solve raises.  Any other H is copied by SciPy and never
+    written; a non-finite one is refused there, before the copy.
     """
     import scipy.linalg
 
@@ -399,11 +403,12 @@ def _eigh(H: np.ndarray, S):
         and H.flags.c_contiguous
         and H.flags.writeable
         and (S != S.T).nnz == 0
+        and np.isfinite(S.data).all()
     ):
         return scipy.linalg.eigh(H)
     diagonal = H.diagonal().copy()
     try:
-        return scipy.linalg.eigh(H.T, overwrite_a=True)
+        return scipy.linalg.eigh(H.T, overwrite_a=True, check_finite=False)
     finally:
         _mirror_lower(H)
         H[np.diag_indices(H.shape[0])] = diagonal
@@ -688,6 +693,18 @@ def moment_residuals(eigenvalues, momenta, weights, hopping: float, direct, latt
     S0 and <g|H_hop|g> fall as J^2/U, and without that term a correct
     solve's residual grows as U/J.  A momentum that lost its channels reads
     |<g|H_hop|g>| / (2 J N), about 1 in the superfluid.
+
+    The zeroth moment is taken over ``direct`` or eps (N/L)^2, whichever is
+    larger.  S0 is read in the reflection-even basis of the sector, which
+    drops the odd part of n_0|g>.  That part is zero but for the ground
+    vector's absolute rounding, about eps per component times an orbit's
+    |(1/L) sum_j e^{-iKj} n_j| <= N/L, so |S0 - direct| keeps a floor near
+    (eps N/L)^2 while ``direct`` falls as (J/U)^2 deep in the Mott regime;
+    without the floor a correct solve's residual grows as (U/J)^2 (1.6e-9
+    at (L, N, U/J) = (7, 7, 1e11)).  Over that scale the floor reads about
+    eps.  Where ``direct`` is above it, the residual is relative, and a
+    momentum that lost its channels reads 1; below it, only
+    direct / (eps (N/L)^2), 2e-7 at (7, 7, 1e11).
     """
     L = lattice.L
     m = np.rint(np.asarray(momenta) * L / (2 * np.pi)).astype(np.int64) % L
@@ -698,7 +715,8 @@ def moment_residuals(eigenvalues, momenta, weights, hopping: float, direct, latt
     norm = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     scale = norm * L * L * s0 + bend * 2 * lattice.J * lattice.N
     fsum = np.max(np.abs(s1 - bend * -hopping) / scale)
-    zeroth = np.max(np.abs(s0 - direct[1:]) / direct[1:])
+    floor = np.finfo(float).eps * (lattice.N / L) ** 2
+    zeroth = np.max(np.abs(s0 - direct[1:]) / np.maximum(direct[1:], floor))
     return float(fsum), float(zeroth)
 
 

@@ -4,8 +4,8 @@ Free-gas (superfluid) and strong-repulsion (Mott) limits, the L -> infinity
 forms with their kinematic root, the weak-interaction decay slope, the
 angles where the finite-size and infinite-size formulas cross, and the
 angle-averaged deviation metric between two cross-section curves.  The
-kinematic root falls back on model.bisect, the bisection that also solves
-the depletion, on a bracket that always holds a root.
+kinematic root is one model.bisect, the bisection that also solves the
+depletion, on a bracket that always holds a root.
 
 Every inelastic evaluator in this module returns exactly zero when the
 elastic momentum transfer sits on a reciprocal lattice vector (theta = 0
@@ -40,8 +40,6 @@ from .model import (
     lattice_sum_sq,
     open_channel_sum,
 )
-
-ROOT_TOL = 1e-12
 
 # Above this probe energy the kinematic corrections to the large-L forms
 # are negligible and the shortcut expressions are used.
@@ -149,28 +147,18 @@ def mi_inelastic(
 def _kinematic_root(kel: float, E0: float, energy_of) -> float:
     """Solve kappa(q) = q with kappa(q) = kel*sqrt(1 - energy_of(q)/E0).
 
-    Damped fixed-point iteration from q = kel; the excitation energies here
-    are thousandths of E0, so the map is strongly contracting.  When it
-    meets a closed channel or does not settle, model.bisect takes over on
-    the bracket between 0 and kel, which always holds a root of
-    kappa(q) - q: energy_of(0) = 0 makes it kel at q = 0, and at q = kel it
-    has the opposite sign or is 0, since the square root is at most 1
-    (kel = 0 is a reciprocal vector, which callers return on first).  The
-    returned root is the real (unfolded) solution; the energy function is
-    2*pi-periodic so folding plays no role in the iteration.
+    One model.bisect on the bracket between 0 and kel, which always holds
+    a root of kappa(q) - q: energy_of(0) = 0 makes it kel at q = 0, and at
+    q = kel it has the opposite sign or is 0, since the square root is at
+    most 1 (kel = 0 is a reciprocal vector, which callers return on first).
+    A closed channel counts as kappa = 0.  The returned root is the real
+    (unfolded) solution.  The band energies rise with |q| up to pi, so for
+    |kel| <= pi the root is unique; past that the bracket may hold
+    several, and the bisection returns one of them.  The L -> infinity
+    limit sums over all of them, which this single-root form does not.
     """
     def residual(x):
         return kel * np.sqrt(max(0.0, 1.0 - energy_of(x) / E0)) - x
-
-    x = kel
-    for _ in range(200):
-        en = energy_of(x)
-        if en >= E0:
-            break  # closed channel along the path; let the bisection decide
-        target = kel * np.sqrt(1.0 - en / E0)
-        if abs(target - x) < ROOT_TOL:
-            return target
-        x = 0.5 * (x + target)
 
     lo, hi = (kel, 0.0) if kel > 0 else (0.0, kel)
     return bisect(residual, lo, hi)

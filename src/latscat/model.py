@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameterError, KinematicallyForbiddenError
+from .errors import BadParameterError
 
 # Benchmark defaults for a V0 = 15 E_r lattice.
 DEFAULT_J = 0.0065
@@ -135,46 +135,11 @@ def kappa_elastic(probe: ProbeSpec) -> float:
     return -np.pi * np.sin(probe.theta) * np.sqrt(probe.E0 * probe.mass_ratio)
 
 
-def kappa_transferred(probe: ProbeSpec, excitation_energy: float) -> float:
-    """Momentum transfer when the target absorbs `excitation_energy`.
-
-    Energy conservation rescales the elastic transfer:
-    kappa = kappa_el * sqrt(1 - dE/E0). Channels with dE >= E0 are closed.
-    """
-    if excitation_energy < 0:
-        raise BadParameterError(f"excitation energy must be >= 0, got {excitation_energy}")
-    if excitation_energy >= probe.E0:
-        raise KinematicallyForbiddenError(
-            f"excitation energy {excitation_energy} is not below the probe energy {probe.E0}"
-        )
-    return kappa_elastic(probe) * np.sqrt(1.0 - excitation_energy / probe.E0)
-
-
 def form_factor(kappa, V0: float):
     """Gaussian on-site form factor W(kappa) = exp(-(kappa d)^2 / (4 pi^2 sqrt(V0)))."""
     if V0 <= 0:
         raise BadParameterError(f"lattice depth must be positive, got V0={V0}")
     return np.exp(-np.asarray(kappa, dtype=float) ** 2 / (4.0 * np.pi**2 * np.sqrt(V0)))
-
-
-def wannier_overlap(kappa: float, V0: float, separation: int) -> complex:
-    """Overlap of two Gaussian site orbitals `separation` sites apart.
-
-    Closed form for sites j and l = j + separation:
-    W_jl(kappa) = W(kappa) * exp(i kappa (x_j + x_l)/2) * exp(-(j-l)^2 pi^2 sqrt(V0)/4),
-    returned here with the separation-independent midpoint phase referenced
-    to x_j = 0 (the magnitude is what enters the cross sections).
-    """
-    if separation == 0:
-        raise BadParameterError("separation 0 is the on-site form factor; use form_factor")
-    if V0 <= 0:
-        raise BadParameterError(f"lattice depth must be positive, got V0={V0}")
-    midpoint = separation / 2.0
-    return (
-        form_factor(kappa, V0)
-        * np.exp(1j * kappa * midpoint)
-        * np.exp(-(separation**2) * np.pi**2 * np.sqrt(V0) / 4.0)
-    )
 
 
 def lattice_sum_sq(k, L: int):

@@ -363,11 +363,6 @@ def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
     return [spectra[first[key]] for key in keys]
 
 
-def cache_spectrum(lattice: LatticeSpec, cache_dir, manifest: RunManifest | None = None):
-    """Spectrum for one lattice: the one-lattice case of cache_spectra."""
-    return cache_spectra([lattice], cache_dir, manifest)[0]
-
-
 # ------------------------------------------------------------------ writers
 
 
@@ -438,8 +433,6 @@ def _base_manifest(config: ScanConfig) -> RunManifest:
         "V0": config.V0,
         "E0": config.E0,
         "mass_ratio": config.mass_ratio,
-        "theta_grid": [float(t) for t in config.thetas()],
-        "u_grid": [float(u) for u in config.u_grid],
         "cache_dir": config.cache_dir,
         "normalization": "cross sections per particle, 1/(N a_s^2)",
     }
@@ -451,34 +444,27 @@ class Site:
 
     It holds the lattice, the leading CSV cells that name it (`label`), the
     probes of the inner loop and the provenances it reports.  The depletion
-    state, the exact cross sections and each provenance's curve are
-    computed once, and only when first asked for.  The exact, bogoliubov
-    and sf-limit curves and the decay slopes are summed over all of the
-    site's probes at once, one open-channel sum per curve; the
-    largeL and mi-limit curves and the shared elastic cross section go
-    probe by probe.  `run` hands a site that reads a spectrum its exact
-    cross sections, from one batch of spectra for all of its sites;
-    a site built on its own asks cache_spectrum when first asked.  The
-    site keeps no spectrum: only the exact cross sections outlive the call
-    that reads it.
+    state and each provenance's curve are computed once, and only when
+    first asked for.  The exact, bogoliubov and sf-limit curves and the
+    decay slopes are summed over all of the site's probes at once, one
+    open-channel sum per curve; the largeL and mi-limit curves and the
+    shared elastic cross section go probe by probe.  `exact`, the exact
+    cross sections at every probe, is set by `run` on each site that reads
+    a spectrum, from one batch of spectra for all of its sites.  The site
+    keeps no spectrum: only the exact cross sections outlive the call that
+    reads it.
     """
 
-    def __init__(self, config, manifest, kinds, lattice, probes, label=(), u=None):
-        self.config, self.manifest, self.kinds = config, manifest, kinds
-        self.lattice, self.probes, self.label = lattice, probes, label
+    def __init__(self, kinds, lattice, probes, label=(), u=None):
+        self.kinds, self.lattice, self.probes, self.label = kinds, lattice, probes, label
         # interaction u = U n / J of the linear decay law
         self.u = lattice.u_dimensionless if u is None else u
+        self.exact = None  # set by run
         self._curves = {}
 
     @cached_property
     def state(self):
         return solve_depletion(self.lattice)
-
-    @cached_property
-    def exact(self):
-        """Exact cross sections at every probe."""
-        spectrum = cache_spectrum(self.lattice, self.config.cache_dir, self.manifest)
-        return exact_cross_sections(spectrum, self.lattice, self.probes)
 
     @cached_property
     def slopes(self):
@@ -530,7 +516,15 @@ PROVENANCES = tuple(CURVES)
 
 
 # ----------------------------------------------------------------- layouts
-# Each returns the sites of one command's outer loop.
+# Each returns the sites of one command's outer loop, and records in the
+# manifest the grids it reads: angles for all but depletion, u for u-scan,
+# depletion and deviation-map.
+
+
+def _grid(manifest, name, values) -> list:
+    """The values as floats, recorded in the manifest's parameters as ``name``."""
+    manifest.parameters[name] = [float(v) for v in values]
+    return manifest.parameters[name]
 
 
 def _probes(config: ScanConfig, thetas, energies=None) -> list:
@@ -544,7 +538,8 @@ def _probes(config: ScanConfig, thetas, energies=None) -> list:
 
 def _one_lattice(config, kinds, manifest):
     """theta-scan, compare: the configured lattice over the angle grid."""
-    return [Site(config, manifest, kinds, config.lattice(), _probes(config, config.thetas()))]
+    thetas = _grid(manifest, "theta_grid", config.thetas())
+    return [Site(kinds, config.lattice(), _probes(config, thetas))]
 
 
 def _energy_angle_grid(config, kinds, manifest):
@@ -559,24 +554,22 @@ def _energy_angle_grid(config, kinds, manifest):
             f"E0 grid capped below {HEATMAP_E0_CAP} (band gap); requested top {top}"
         )
         top = HEATMAP_E0_CAP * (1 - 1e-9)
-    e0_grid = [float(e) for e in np.linspace(HEATMAP_E0_FLOOR, top, HEATMAP_E0_POINTS)]
-    manifest.parameters["E0_grid"] = e0_grid
-    probes = _probes(config, config.thetas(), e0_grid)
-    return [Site(config, manifest, kinds, config.lattice(), probes)]
+    e0_grid = _grid(manifest, "E0_grid", np.linspace(HEATMAP_E0_FLOOR, top, HEATMAP_E0_POINTS))
+    probes = _probes(config, _grid(manifest, "theta_grid", config.thetas()), e0_grid)
+    return [Site(kinds, config.lattice(), probes)]
 
 
 def _u_sites(config, kinds, manifest, probes):
     n = config.lattice().n
     return [
-        Site(config, manifest, kinds, config.lattice(U=u * config.J / n), probes, (u,), u)
-        for u in map(float, config.u_grid)
+        Site(kinds, config.lattice(U=u * config.J / n), probes, (u,), u)
+        for u in _grid(manifest, "u_grid", config.u_grid)
     ]
 
 
 def _u_points(config, kinds, manifest):
     """u-scan: one lattice per u on the grid, at theta = pi/4 unless a grid is given."""
-    thetas = config.thetas(own=[np.pi / 4])
-    manifest.parameters["theta_grid"] = [float(t) for t in thetas]
+    thetas = _grid(manifest, "theta_grid", config.thetas(own=[np.pi / 4]))
     return _u_sites(config, kinds, manifest, _probes(config, thetas))
 
 
@@ -599,14 +592,15 @@ def _filling_cells(config, kinds, manifest):
     manifest.metadata["deviation_floor"] = (
         f"{DEVIATION_FLOOR_FRACTION:g} of grid maximum of the exact curve"
     )
-    probes = _probes(config, config.thetas())
+    probes = _probes(config, _grid(manifest, "theta_grid", config.thetas()))
+    u_grid = _grid(manifest, "u_grid", config.u_grid)
     sites = []
     for n in n_grid:
         if int(round(n * L)) < 1:
             raise BadParameterError(f"cell n={n} realizes N=0 on L={L}")
-        for u_over_j in map(float, config.u_grid):
+        for u_over_j in u_grid:
             lattice = LatticeSpec(L=L, n=n, U=u_over_j * config.J, J=config.J, V0=config.V0)
-            sites.append(Site(config, manifest, kinds, lattice, probes, (n, u_over_j)))
+            sites.append(Site(kinds, lattice, probes, (n, u_over_j)))
     return sites
 
 
@@ -618,15 +612,13 @@ def _lattice_sizes(config, kinds, manifest):
         if aset.angles.size:
             markers[str(j)] = [float(a) for a in aset.angles]
     manifest.metadata["marker_angles"] = markers
-    probes = _probes(config, config.thetas())
+    probes = _probes(config, _grid(manifest, "theta_grid", config.thetas()))
     finite = tuple(k for k in kinds if k != "largeL")
     last = len(config.L_values) - 1
     # the decay laws read only the chain length and the couplings
     return [
-        Site(
-            config, manifest, kinds if j == last else finite,
-            LatticeSpec(L=L, n=1.0, J=config.J, V0=config.V0), probes,
-        )
+        Site(kinds if j == last else finite, LatticeSpec(L=L, n=1.0, J=config.J, V0=config.V0),
+             probes)
         for j, L in enumerate(config.L_values)
     ]
 

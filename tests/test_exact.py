@@ -287,6 +287,19 @@ def test_a_matrix_that_cannot_be_solved_in_place_is_copied(eigh_inputs, make):
     assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
 
 
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_an_exactly_symmetric_matrix_with_an_infinity_is_refused(eigh_inputs, where):
+    # the in-place solve skips SciPy's finiteness pass; S's nonzeros send a
+    # non-finite H to SciPy's own copy path, whose check refuses it
+    H = build_hamiltonian(enumerate_basis(3, 4), J=J, U=0.6 * J)
+    H[where] = H[where[::-1]] = -np.inf
+    before = H.copy()
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        full_spectrum(H)
+    assert eigh_inputs[0][1] is False
+    assert np.array_equal(H, before)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     L=st.integers(2, 7),

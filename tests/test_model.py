@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from latscat.errors import BadParameterError, KinematicallyForbiddenError
+from latscat.errors import BadParameterError
+from latscat.limits import mi_inelastic
 from latscat.model import (
     DEFAULT_J,
     LatticeSpec,
@@ -19,10 +20,8 @@ from latscat.model import (
     form_factor,
     is_reciprocal,
     kappa_elastic,
-    kappa_transferred,
     lattice_sum_sq,
     quasimomentum_grid,
-    wannier_overlap,
 )
 
 
@@ -37,8 +36,8 @@ def orbital(x, V0):
     return (2.0 * np.pi * s2) ** -0.25 * np.exp(-(x**2) / (4.0 * s2))
 
 
-def overlap_by_quadrature(kappa, V0, xa, xb):
-    """Numerically integrate w(x-xa) w(x-xb) e^{i kappa x} dx."""
+def overlap_by_quadrature(kappa, V0, xa, xb, **options):
+    """Numerically integrate w(x-xa) w(x-xb) e^{i kappa x} dx; options go to quad."""
 
     def integrand_re(x):
         return orbital(x - xa, V0) * orbital(x - xb, V0) * np.cos(kappa * x)
@@ -47,8 +46,8 @@ def overlap_by_quadrature(kappa, V0, xa, xb):
         return orbital(x - xa, V0) * orbital(x - xb, V0) * np.sin(kappa * x)
 
     lo, hi = min(xa, xb) - 10.0, max(xa, xb) + 10.0
-    re, _ = quad(integrand_re, lo, hi, limit=400)
-    im, _ = quad(integrand_im, lo, hi, limit=400)
+    re, _ = quad(integrand_re, lo, hi, limit=400, **options)
+    im, _ = quad(integrand_im, lo, hi, limit=400, **options)
     return re + 1j * im
 
 
@@ -135,19 +134,6 @@ def test_kappa_elastic_landmarks():
     )
 
 
-def test_kappa_transferred_scaling_and_domain():
-    probe = ProbeSpec(E0=2.0, theta=0.7)
-    kel = kappa_elastic(probe)
-    assert kappa_transferred(probe, 0.0) == kel
-    assert_allclose(kappa_transferred(probe, 1.0), kel / np.sqrt(2.0), rtol=1e-15)
-    with pytest.raises(KinematicallyForbiddenError):
-        kappa_transferred(probe, 2.0)
-    with pytest.raises(KinematicallyForbiddenError):
-        kappa_transferred(probe, 2.5)
-    with pytest.raises(BadParameterError):
-        kappa_transferred(probe, -0.1)
-
-
 # ------------------------------------------------------------ form factors
 
 
@@ -167,24 +153,35 @@ def test_form_factor_matches_orbital_quadrature(kappa, V0):
     assert_allclose(form_factor(kappa, V0), numeric.real, rtol=1e-8)
 
 
+# The Wannier overlap of sites j and l, W_jl(kappa), has the magnitude
+# |W(kappa)| exp(-(j-l)^2 pi^2 sqrt(V0)/4): mi_inelastic inlines the factor
+# |W_jl(kappa)|^2 / |W(kappa)|^2 = exp(-(j-l)^2 pi^2 sqrt(V0)/2) of each pair.
+
+
+def pair_factor(separation, V0):
+    return np.exp(-(separation**2) * np.pi**2 * np.sqrt(V0) / 2.0)
+
+
 def test_wannier_overlap_landmark_magnitudes():
-    # neighbouring sites at V0 = 15: |W| ~ 7.1e-5; two sites apart ~ 2.5e-17
-    assert_allclose(abs(wannier_overlap(0.0, 15.0, 1)), 7.1e-5, rtol=5e-3)
-    assert_allclose(abs(wannier_overlap(0.0, 15.0, 2)), 2.5e-17, rtol=2e-2)
+    # neighbouring sites at V0 = 15: |W_{j,j+1}/W| ~ 7.1e-5, as mi_inelastic
+    # weighs them: on two sites, the pair sum is 2 of these factors over L = 2
+    probe = ProbeSpec(E0=2.0, theta=0.3)
+    w2 = form_factor(kappa_elastic(probe), 15.0) ** 2
+    factor = mi_inelastic(2, 1.0, probe.E0, probe.theta, 15.0) / (1 * 2 * w2)
+    assert_allclose(np.sqrt(factor), 7.1e-5, rtol=5e-3)
+    assert_allclose(factor, pair_factor(1, 15.0), rtol=1e-14)
+    # two sites apart ~ 2.5e-17
+    assert_allclose(np.sqrt(pair_factor(2, 15.0)), 2.5e-17, rtol=2e-2)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1.3, -2.7])
 @pytest.mark.parametrize("separation", [1, -1, 2])
 def test_wannier_overlap_matches_orbital_quadrature(kappa, separation):
-    numeric = overlap_by_quadrature(kappa, 15.0, 0.0, float(separation))
-    got = wannier_overlap(kappa, 15.0, separation)
-    assert_allclose(got.real, numeric.real, atol=1e-12, rtol=1e-7)
-    assert_allclose(got.imag, numeric.imag, atol=1e-12, rtol=1e-7)
-
-
-def test_wannier_overlap_rejects_zero_separation():
-    with pytest.raises(BadParameterError):
-        wannier_overlap(1.0, 15.0, 0)
+    # epsabs=0: two sites apart the overlap is ~1e-17, below quad's default
+    # absolute tolerance
+    pair = overlap_by_quadrature(kappa, 15.0, 0.0, float(separation), epsabs=0.0)
+    onsite = overlap_by_quadrature(kappa, 15.0, 0.0, 0.0)
+    assert_allclose(abs(pair) ** 2 / abs(onsite) ** 2, pair_factor(separation, 15.0), rtol=1e-6)
 
 
 # ------------------------------------------------------ interference sum

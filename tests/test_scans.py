@@ -15,11 +15,12 @@ from latscat import exact
 from latscat.exact import diagonalize, sector_spectrum
 from latscat.limits import slope_lambda
 from latscat.scans import (
+    COMMANDS,
     RunManifest,
     ScanConfig,
     ScanTable,
     cache_path,
-    cache_spectrum,
+    cache_spectra,
     execute,
     format_cell,
     load_spectrum,
@@ -158,7 +159,7 @@ def test_a_v1_cache_file_is_recomputed_with_a_warning(tmp_path):
         + dense.density_elements.astype("<f8").tobytes()
     )
     manifest = RunManifest(command="test", parameters={})
-    result = cache_spectrum(lattice, tmp_path, manifest)
+    result = cache_spectra([lattice], tmp_path, manifest)[0]
     assert len(manifest.warnings) == 1
     assert "recomputing spectrum" in manifest.warnings[0] and "format v1" in manifest.warnings[0]
     assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
@@ -175,11 +176,11 @@ def test_cache_keys_distinguish_couplings(tmp_path):
 def test_cache_spectrum_recovers_from_corruption(tmp_path):
     lattice = _small_lattice()
     manifest = RunManifest(command="test", parameters={})
-    cache_spectrum(lattice, tmp_path, manifest)
+    cache_spectra([lattice], tmp_path, manifest)[0]
     assert manifest.cache_misses == 1
     path = cache_path(tmp_path, lattice)
     path.write_bytes(b"garbage\n")
-    result = cache_spectrum(lattice, tmp_path, manifest)
+    result = cache_spectra([lattice], tmp_path, manifest)[0]
     assert manifest.warnings and "recomputing" in manifest.warnings[0]
     assert result.eigenvalues.size == 35
     # the corrupted entry was rewritten and is loadable again
@@ -239,7 +240,7 @@ def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
     path.write_bytes(head + b"\n" + channels.tobytes())
 
     manifest = RunManifest(command="test", parameters={})
-    result = cache_spectrum(lattice, tmp_path, manifest)
+    result = cache_spectra([lattice], tmp_path, manifest)[0]
     assert len(manifest.warnings) == 1 and "recomputing spectrum" in manifest.warnings[0]
     assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
     for name in ("eigenvalues", "momenta", "weights"):
@@ -252,8 +253,8 @@ def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
 def test_cache_spectrum_counts_hits(tmp_path):
     lattice = _small_lattice()
     manifest = RunManifest(command="test", parameters={})
-    first = cache_spectrum(lattice, tmp_path, manifest)
-    second = cache_spectrum(lattice, tmp_path, manifest)
+    first = cache_spectra([lattice], tmp_path, manifest)[0]
+    second = cache_spectra([lattice], tmp_path, manifest)[0]
     assert (manifest.cache_misses, manifest.cache_hits) == (1, 1)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.weights, second.weights)
@@ -569,3 +570,17 @@ def test_rows_follow_the_requested_provenances():
     table, _ = run(cfg)
     assert set(table.column("provenance")) == {"linear"}
     assert len(table.rows) == 3 * 2
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_a_manifest_records_only_the_grids_its_command_reads(command):
+    # depletion reads no angle; only u-scan, depletion and deviation-map sweep u
+    cfg = ScanConfig(command=command, L_values=(3,), n=1.0, theta_points=3, u_grid=(0.5, 2.0))
+    table, manifest = run(cfg)
+    params = manifest.parameters
+    assert ("theta_grid" in params) == (command != "depletion")
+    assert ("u_grid" in params) == (command in ("u-scan", "depletion", "deviation-map"))
+    if "theta" in table.columns:
+        assert sorted(set(table.column("theta"))) == params["theta_grid"]
+    if "u_grid" in params:
+        assert params["u_grid"] == [0.5, 2.0]

@@ -33,7 +33,7 @@ from latscat.exact import (
     sector_spectrum,
 )
 from latscat.model import LatticeSpec, ProbeSpec
-from latscat.scans import ScanConfig, cache_path, cache_spectrum, load_spectrum, run
+from latscat.scans import ScanConfig, cache_path, cache_spectra, load_spectrum, run
 
 J = 0.0065
 V0 = 15.0
@@ -182,8 +182,8 @@ def test_a_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         code = (
             "from latscat.model import LatticeSpec\n"
-            "from latscat.scans import cache_spectrum\n"
-            f"cache_spectrum({lattice}, {str(tmp_path / threads)!r})\n"
+            "from latscat.scans import cache_spectra\n"
+            f"cache_spectra([{lattice}], {str(tmp_path / threads)!r})[0]\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -206,7 +206,7 @@ def test_every_command_writes_the_same_bytes_for_one_lattice(tmp_path):
             cache_dir=str(tmp_path / "d"),
         )
     )
-    cache_spectrum(lattice, tmp_path / "c")
+    cache_spectra([lattice], tmp_path / "c")[0]
     blobs = {cache_path(tmp_path / d, lattice).read_bytes() for d in "udc"}
     assert len(blobs) == 1
 
@@ -250,6 +250,16 @@ def test_deep_mott_solves_hold_the_f_sum_rule(L):
     for u_over_j in (1e6, 1e7, 1e8, 1e9, 1e10):
         spectrum = sector_spectrum(LatticeSpec(L=L, n=1.0, U=u_over_j * J, J=J))
         assert spectrum.fsum_residual <= 1e-12, u_over_j
+
+
+@pytest.mark.parametrize("L", [6, 7, 8])
+def test_deep_mott_solves_hold_the_zeroth_moment(L):
+    # <g|rho_{-K} rho_K|g> falls as (J/U)^2, below the rounding floor
+    # (eps N/L)^2 that the parity basis leaves in S0; the zeroth-moment
+    # scale counts it, so these correct solves pass every check
+    for u_over_j in (1e11, 1e12):
+        spectrum = sector_spectrum(LatticeSpec(L=L, n=1.0, U=u_over_j * J, J=J))
+        assert spectrum.s0_residual <= 1e-12 and spectrum.fsum_residual <= 1e-12, u_over_j
 
 
 def mutant(old: str, new: str):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from latscat import model
 from latscat.bogoliubov import bog_inelastic_cs, solve_depletion
-from latscat.exact import basis_dimension, diagonalize, exact_cross_section
+from latscat.exact import basis_dimension, diagonalize, exact_cross_section, exact_cross_sections
 from latscat.limits import sf_inelastic, slope_lambda
 from latscat.model import LatticeSpec, ProbeSpec, kappa_elastic
 from latscat.scans import ScanConfig, Site, _probes
@@ -48,7 +48,7 @@ exact_sizes = [(N, L) for L in range(2, 9) for N in range(1, 13) if basis_dimens
 def make_site(lattice, thetas, e0s, mass_ratio, kinds):
     config = ScanConfig(command="theta-scan", mass_ratio=mass_ratio)
     probes = _probes(config, thetas, e0s)
-    return Site(config, None, kinds, lattice, probes)
+    return Site(kinds, lattice, probes)
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +76,8 @@ def test_site_exact_curve_is_the_per_probe_cross_section(
     top = float(spectrum.eigenvalues[-1] - spectrum.ground_energy)
     e0s = e0s + [f * top for f in band_fractions]
     site = make_site(lattice, thetas, e0s, mass_ratio, ("exact",))
-    with mock.patch("latscat.scans.cache_spectrum", lambda *args: spectrum), \
-            mock.patch.object(model, "CHUNK_TERMS", chunk):
+    with mock.patch.object(model, "CHUNK_TERMS", chunk):
+        site.exact = exact_cross_sections(spectrum, lattice, site.probes)  # as run sets it
         curve = site.curve("exact")
         sections = site.exact
     expected = [exact_cross_section(spectrum, lattice, p) for p in site.probes]
@@ -123,6 +123,6 @@ def test_reciprocal_transfers_read_exact_zeros_inside_a_group():
 def test_a_probe_energy_below_every_channel_reads_zero():
     lattice = LatticeSpec(L=6, n=1.0, J=J, V0=V0)
     probes = [ProbeSpec(E0=1e-6, theta=0.4), ProbeSpec(E0=2.0, theta=0.4)]
-    site = Site(ScanConfig(command="theta-scan"), None, ("sf-limit",), lattice, probes)
+    site = Site(("sf-limit",), lattice, probes)
     sf = site.curve("sf-limit")
     assert sf[0] == 0.0 and sf[1] > 0.0
