@@ -47,7 +47,6 @@ from .bogoliubov import (
     BogoliubovState,
     bog_inelastic_cs,
     bogoliubov_dispersion,
-    chemical_potential,
     depletion_quadratic,
     pair_coupling,
     solve_depletion,
@@ -109,7 +108,6 @@ __all__ = [
     "BogoliubovState",
     "bog_inelastic_cs",
     "bogoliubov_dispersion",
-    "chemical_potential",
     "depletion_quadratic",
     "pair_coupling",
     "solve_depletion",

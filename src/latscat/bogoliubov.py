@@ -12,6 +12,7 @@ its curve.  Non-finite parameters are refused.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,16 +38,15 @@ DEPLETION_RESIDUAL_TOL = 1e-12
 class BogoliubovState:
     """Solved condensate for one lattice configuration.
 
-    n0 is the condensate filling, mu the mean-field chemical potential,
-    omega_table the quasiparticle energies over the q != 0 grid, and
-    healing_ok the advisory healing-length validity flag.  The grid itself
-    and its Bloch energies eps_q are built once, when first asked for.
+    n0 is the condensate filling, omega_table the quasiparticle energies
+    over the q != 0 grid, and healing_ok the advisory healing-length
+    validity flag.  The grid itself and its Bloch energies eps_q are built
+    once, when first asked for.
     """
 
     lattice: LatticeSpec
     n0: float
     depletion_fraction: float
-    mu: float
     omega_table: np.ndarray
     healing_ok: bool
 
@@ -77,16 +77,11 @@ def bogoliubov_dispersion(q, J: float, Un0: float):
     dispersion bit-for-bit.  The condensate mode q = 0 (mod 2*pi) is
     outside the domain.
     """
-    if Un0 < 0:
-        raise BadParameterError(f"U n0 must be non-negative, got {Un0}")
+    if not 0 <= Un0 < math.inf:
+        raise BadParameterError(f"U n0 must be non-negative and finite, got {Un0}")
     if np.any(np.abs(np.sin(np.asarray(q, dtype=float) / 2.0)) < RECIPROCAL_TOL):
         raise BadParameterError("q = 0 (mod 2*pi) is the condensate mode, not a quasiparticle")
     return _quasiparticle_energy(bloch_dispersion(q, J), Un0)
-
-
-def chemical_potential(U: float, n0: float, J: float) -> float:
-    """Mean-field chemical potential mu = U n0 - 2J."""
-    return U * n0 - 2.0 * J
 
 
 def validity_check(lattice: LatticeSpec, n0: float):
@@ -152,7 +147,6 @@ def solve_depletion(lattice: LatticeSpec) -> BogoliubovState:
         lattice=lattice,
         n0=n0,
         depletion_fraction=1.0 - n0 / n,
-        mu=chemical_potential(U, n0, J),
         omega_table=omega,
         healing_ok=ok,
     )

@@ -60,7 +60,7 @@ from .model import (
 # 2.02 matrices at dims 1001, 1716 and 3003.
 DENSE_MATRICES = 2.5
 
-# The residual check and the restore of _eigh work in strips of this many
+# The residual check and the restore of full_spectrum work in strips of this many
 # columns or rows, so their temporaries stay small beside the matrices:
 # each is dim x BLOCK, 0.4 MB at dim 3003.
 BLOCK = 16
@@ -307,7 +307,7 @@ def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
 class SpectrumResult:
     """Full spectrum plus what the cross section needs of each eigenstate.
 
-    A dense solve fills ``density_elements[e, j]`` = <e| n_j |g>, whose
+    density_elements fills ``density_elements[e, j]`` = <e| n_j |g>, whose
     ground row is the ground-state density profile.  A sector solve fills
     the channels instead: ``momenta[e]``, the lattice momentum K of state e
     in (-pi, pi], and ``weights[e]`` = |<e|n_0|g>|^2.  ``eigenvectors`` is
@@ -380,68 +380,63 @@ def _mirror_lower(H: np.ndarray) -> None:
         square[upper] = square.T[upper]
 
 
-def _eigh(H: np.ndarray, S):
-    """scipy.linalg.eigh(H), in H's own storage where that is safe; H is
-    exactly symmetric and finite when S, its sparse copy made before the
-    solve, is.
+def full_spectrum(H: np.ndarray) -> SpectrumResult:
+    """All eigenpairs of a dense real symmetric matrix, with sanity checks.
 
-    An exactly symmetric, finite, writeable, C-contiguous float64 H is
-    handed to LAPACK as H.T, a Fortran-ordered array that holds the same
-    numbers as the copy SciPy would make, so the solve reads the same
-    inputs without a second dim x dim matrix.  SciPy's own finiteness pass,
-    a dim x dim boolean temporary, is skipped: S's nonzeros have been read
-    instead.  The solver destroys H's upper triangle and diagonal; the
-    finally block rebuilds them from the lower triangle, which it leaves
-    alone, and from a saved diagonal, so H is bit-identical afterwards even
-    when the solve raises.  Any other H is copied by SciPy and never
-    written; a non-finite one is refused there, before the copy.
-    """
-    import scipy.linalg
+    Every H takes one path.  A matrix that is not square, real, finite and
+    exactly symmetric is refused with BadParameterError before any solve.
+    First H's nonzeros are counted, and CapacityError refuses the call when
+    the eigenvectors, the private copy below (when one is made) and the
+    sparse copy of H, 36 bytes per nonzero at its peak (measured with
+    tracemalloc at dims 300 to 3003, dense or not), would not fit in the
+    available memory.  An H that is not a writeable, C-contiguous float64
+    array is then copied into one, which is solved instead.
 
-    if not (
-        H.dtype == np.float64
-        and H.flags.c_contiguous
-        and H.flags.writeable
-        and (S != S.T).nnz == 0
-        and np.isfinite(S.data).all()
-    ):
-        return scipy.linalg.eigh(H)
-    diagonal = H.diagonal().copy()
-    try:
-        return scipy.linalg.eigh(H.T, overwrite_a=True, check_finite=False)
-    finally:
-        _mirror_lower(H)
-        H[np.diag_indices(H.shape[0])] = diagonal
-
-
-def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResult:
-    """All eigenpairs of a dense symmetric matrix, with sanity checks.
+    The sparse copy (about 12 bytes per nonzero) gives the finiteness and
+    symmetry tests and the residuals.  H is solved in its own storage:
+    LAPACK gets H.T, a Fortran-ordered array with the same numbers as the
+    copy SciPy would make, so the solve holds two dim x dim matrices, H and
+    the eigenvectors, instead of three.  The solver destroys H's upper
+    triangle and diagonal; they are rebuilt from the lower triangle and a
+    saved diagonal, so H is bit-identical afterwards even when the solve
+    raises, and one H must not be shared by threads that call full_spectrum
+    at the same time.
 
     Verifies the per-pair residual ||Hv - lambda v|| <= 1e-8 ||H|| and that
     the ground state is unique (gap above 1e-10 of the spectral range).
-    When a basis is supplied the density matrix elements are filled in.
     SciPy is imported here, the only place that needs it, so a scan run,
-    which solves in sectors, never loads it.  H's nonzeros are read once,
-    before the solve, into a sparse copy (about 12 bytes each) that gives
-    the symmetry test and the residuals: up to 1.5 more dim x dim matrices
-    for a dense (non-Hamiltonian) H, and about 4 while it is built.
-
-    An exactly symmetric, writeable, C-contiguous float64 H is solved in
-    its own storage (_eigh): it is written during the call and restored
-    bit for bit before the call returns or raises, so the solve holds two
-    dim x dim matrices, H and the eigenvectors, instead of three.  One H
-    must therefore not be shared by threads that call full_spectrum at
-    the same time.  Any other H is copied and never written.
+    which solves in sectors, never loads it.
     """
+    import scipy.linalg
     import scipy.sparse
 
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise BadParameterError(f"matrix must be square, got shape {H.shape}")
+    if H.dtype.kind not in "biuf":
+        raise BadParameterError(f"matrix must be real, got dtype {H.dtype}")
+    private = not (H.dtype == np.float64 and H.flags.c_contiguous and H.flags.writeable)
+    available = _available_bytes()
+    nonzeros = np.count_nonzero(H)
+    needed = 8 * dim * dim * (1 + private) + 36 * nonzeros
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"dense diagonalization of dimension {dim} with {nonzeros} nonzeros needs "
+            f"about {needed} bytes, but only {available} bytes of memory are available"
+        )
+    if private:
+        H = np.array(H, dtype=np.float64, order="C")
     S = scipy.sparse.csr_array(H)
-    w, V = _eigh(H, S)
+    if not np.isfinite(S.data).all() or (S != S.T).nnz:
+        raise BadParameterError("matrix must be finite and exactly symmetric")
+    diagonal = H.diagonal().copy()
+    try:
+        w, V = scipy.linalg.eigh(H.T, overwrite_a=True, check_finite=False)
+    finally:
+        _mirror_lower(H)
+        H[np.diag_indices(dim)] = diagonal
     residual, gap = _checked(w, _worst_residual(S, V, w))
-    result = SpectrumResult(
+    return SpectrumResult(
         eigenvalues=w,
         eigenvectors=V,
         ground_energy=float(w[0]),
@@ -449,9 +444,6 @@ def full_spectrum(H: np.ndarray, basis: FockBasis | None = None) -> SpectrumResu
         residual=residual,
         ground_gap=gap,
     )
-    if basis is not None:
-        density_elements(result, basis)
-    return result
 
 
 def density_elements(result: SpectrumResult, basis: FockBasis) -> np.ndarray:
@@ -497,12 +489,14 @@ def diagonalize(lattice: LatticeSpec) -> SpectrumResult:
     dense oracle of sector_spectrum.
 
     The memory gate of build_hamiltonian is checked before the basis is
-    built, so a refused lattice allocates nothing.
+    built, so a refused lattice allocates nothing.  full_spectrum solves
+    the Hamiltonian, and density_elements fills in the table of <e|n_j|g>.
     """
     _refuse_past_memory("dense diagonalization", lattice.N, lattice.L, dense_bytes)
     basis = enumerate_basis(lattice.N, lattice.L)
-    H = build_hamiltonian(basis, lattice.J, lattice.U)
-    return full_spectrum(H, basis)
+    result = full_spectrum(build_hamiltonian(basis, lattice.J, lattice.U))
+    density_elements(result, basis)
+    return result
 
 
 def _orbits(basis: FockBasis):

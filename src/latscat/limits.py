@@ -13,6 +13,7 @@ included): the lattice phases interfere destructively there.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,7 +24,7 @@ from .bogoliubov import (
     bog_inelastic_curve,
     solve_depletion,
 )
-from .errors import UndefinedDeviationError
+from .errors import BadParameterError, UndefinedDeviationError
 from .model import (
     DEFAULT_J,
     DEFAULT_MASS_RATIO,
@@ -104,6 +105,8 @@ def elastic_cs(
     The off-diagonal orbital corrections that would distinguish the two
     limits are dropped (deep-lattice regime).
     """
+    if not 0 < N < math.inf:
+        raise BadParameterError(f"particle number must be positive and finite, got N={N}")
     kel = kappa_elastic(ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio))
     return (
         (N / L) ** 2 * float(lattice_sum_sq(kel, L)) * float(form_factor(kel, V0)) ** 2
@@ -127,6 +130,10 @@ def mi_inelastic(
     exp(-(j-l)^2 pi^2 sqrt(V0)/2), so the pair sum is truncated at
     separation 3.
     """
+    if not 0 < n < math.inf:
+        raise BadParameterError(f"filling must be positive and finite, got n={n}")
+    if not 0 <= U < math.inf:
+        raise BadParameterError(f"interaction must be non-negative and finite, got U={U}")
     if U >= E0:
         return 0.0
     kel = kappa_elastic(ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio))

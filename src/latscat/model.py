@@ -125,8 +125,8 @@ def quasimomentum_grid(L: int) -> np.ndarray:
 
 def bloch_dispersion(q, J: float):
     """Lowest-band dispersion eps_q = 4 J sin^2(q/2); 2*pi-periodic, eps_0 = 0."""
-    if J <= 0:
-        raise BadParameterError(f"tunneling must be positive, got J={J}")
+    if not 0 < J < math.inf:
+        raise BadParameterError(f"tunneling must be positive and finite, got J={J}")
     return 4.0 * J * np.sin(np.asarray(q, dtype=float) / 2.0) ** 2
 
 
@@ -137,8 +137,8 @@ def kappa_elastic(probe: ProbeSpec) -> float:
 
 def form_factor(kappa, V0: float):
     """Gaussian on-site form factor W(kappa) = exp(-(kappa d)^2 / (4 pi^2 sqrt(V0)))."""
-    if V0 <= 0:
-        raise BadParameterError(f"lattice depth must be positive, got V0={V0}")
+    if not 0 < V0 < math.inf:
+        raise BadParameterError(f"lattice depth must be positive and finite, got V0={V0}")
     return np.exp(-np.asarray(kappa, dtype=float) ** 2 / (4.0 * np.pi**2 * np.sqrt(V0)))
 
 

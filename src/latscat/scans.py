@@ -3,11 +3,11 @@
 One runner, `run`, serves every command from the COMMANDS table: an outer
 loop over lattice configurations and an inner loop over probes, with each
 provenance's curve taken from the CURVES registry.  Before the loops, it
-gathers the lattices whose spectra its sites will read, loads the cached
-ones, checks every miss against the memory refusal, and then solves the
-misses one by one in momentum sectors (exact.sector_spectrum).  The cache
-holds each spectrum's scattering channels: (energy, momentum K, weight)
-per eigenstate.  It returns a
+gathers the lattices whose spectra its sites will read and fetches each
+distinct one once: it loads the cached ones, checks every miss against the
+memory refusal, and then solves the misses one by one in momentum sectors
+(exact.sector_spectrum).  The cache holds each spectrum's scattering
+channels: (energy, momentum K, weight) per eigenstate.  It returns a
 rectangular ScanTable with an explicit provenance column plus manifest
 metadata; the writers emit byte-deterministic CSV
 (17 significant digits) whose first line points at the JSON run manifest.
@@ -315,12 +315,12 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
 def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
     """Spectra of the lattices, in order, going through the on-disk cache.
 
-    Cached spectra are loaded; every other lattice passes the memory
-    refusal of exact.require_capacity before any is solved, then each is
-    solved once in this process (exact.sector_spectrum) and written back.
-    Corrupt cache entries are reported as warnings and recomputed.  Hits
-    and misses count as if the lattices were asked for one by one: a repeat
-    is a hit when there is a cache directory and a miss when there is none.
+    Each distinct lattice is fetched once: its cached spectrum is loaded,
+    or it passes the memory refusal of exact.require_capacity with every
+    other miss before any is solved, then it is solved in this process
+    (exact.sector_spectrum) and written back.  Corrupt cache entries are
+    reported as warnings and recomputed.  A file read counts one hit and a
+    solve one miss.
     """
     if not lattices:
         return []
@@ -328,39 +328,32 @@ def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
     if cache_dir is not None:
         _make_dir(cache_dir)
     keys = [_cache_key(lat.N, lat.L, lat.U / lat.J, lat.J) for lat in lattices]
-    first = {}  # the first index of each distinct lattice
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    spectra = [None] * len(lattices)
-    misses = []
-    for i, lattice in enumerate(lattices):
-        if first[keys[i]] != i:
-            if cache_dir is None:
-                manifest.cache_misses += 1
-            else:
-                manifest.cache_hits += 1
-            continue
+    distinct = {}  # the first lattice of each key, in order
+    for key, lattice in zip(keys, lattices):
+        distinct.setdefault(key, lattice)
+    spectra, misses = {}, []
+    for key, lattice in distinct.items():
         path = cache_path(cache_dir, lattice) if cache_dir is not None else None
         if path is not None and path.exists():
             try:
-                spectra[i] = load_spectrum(path, lattice)
+                spectra[key] = load_spectrum(path, lattice)
                 manifest.cache_hits += 1
                 continue
             except CacheError as exc:
                 manifest.warnings.append(f"recomputing spectrum: {exc}")
-        misses.append(i)
+        misses.append(key)
         manifest.cache_misses += 1
 
-    for i in misses:
-        require_capacity(lattices[i].N, lattices[i].L)
+    for key in misses:
+        require_capacity(distinct[key].N, distinct[key].L)
     start = time.perf_counter()
-    for i in misses:
-        spectra[i] = sector_spectrum(lattices[i])
+    for key in misses:
+        spectra[key] = sector_spectrum(distinct[key])
         if cache_dir is not None:
-            save_spectrum(cache_path(cache_dir, lattices[i]), spectra[i], lattices[i])
+            save_spectrum(cache_path(cache_dir, distinct[key]), spectra[key], distinct[key])
     if misses:
-        manifest.record_solves([spectra[i] for i in misses], time.perf_counter() - start)
-    return [spectra[first[key]] for key in keys]
+        manifest.record_solves([spectra[key] for key in misses], time.perf_counter() - start)
+    return [spectra[key] for key in keys]
 
 
 # ------------------------------------------------------------------ writers

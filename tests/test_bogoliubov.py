@@ -7,7 +7,6 @@ from latscat.bogoliubov import (
     BogoliubovState,
     bog_inelastic_cs,
     bogoliubov_dispersion,
-    chemical_potential,
     depletion_quadratic,
     pair_coupling,
     solve_depletion,
@@ -117,12 +116,6 @@ def test_depletion_quadratic_is_the_leading_asymptote():
         spec = spec_from_u(L, n, 0.001)
         got = solve_depletion(spec).depletion_fraction
         assert_allclose(got, depletion_quadratic(spec), rtol=1e-2)
-
-
-def test_chemical_potential():
-    assert chemical_potential(0.0, 5.0, J) == -2 * J
-    assert_allclose(chemical_potential(J, 1.0, J), -J)
-    assert chemical_potential(2 * J, 1.0, J) == 0.0
 
 
 def test_validity_window():

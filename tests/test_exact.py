@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -201,7 +200,7 @@ def test_available_memory_falls_back_to_the_physical_memory():
 def test_full_spectrum_against_second_solver():
     basis = enumerate_basis(2, 3)
     H = build_hamiltonian(basis, J=J, U=J)
-    result = full_spectrum(H, basis)
+    result = full_spectrum(H)
     w_numpy = np.linalg.eigvalsh(H)  # independent LAPACK driver path
     assert_allclose(result.eigenvalues, w_numpy, atol=1e-10)
     assert result.ground_index == 0
@@ -239,7 +238,7 @@ def test_full_spectrum_solves_in_H_and_leaves_it_bit_identical(eigh_inputs):
     basis = enumerate_basis(6, 4)
     H = build_hamiltonian(basis, J=J, U=1.7 * J)
     before = H.copy()
-    result = full_spectrum(H, basis)
+    result = full_spectrum(H)
     a, overwrite = eigh_inputs[0]
     assert overwrite and np.shares_memory(a, H)  # no dim x dim copy
     assert np.array_equal(H, before)
@@ -268,36 +267,77 @@ def _read_only(H):
     return H
 
 
+@pytest.mark.parametrize("make", [
+    _read_only, np.asfortranarray, lambda H: H.astype(np.float32),
+], ids=["read-only", "F-ordered", "float32"])
+def test_a_matrix_that_cannot_be_solved_in_place_is_copied(eigh_inputs, make):
+    # its private float64 copy takes the one path: solved in its own storage
+    H = make(build_hamiltonian(enumerate_basis(3, 4), J=J, U=0.6 * J))
+    before = H.copy()
+    result = full_spectrum(H)
+    a, overwrite = eigh_inputs[0]
+    assert overwrite and not np.shares_memory(a, H)
+    assert np.array_equal(H, before) and H.dtype == before.dtype
+    w, V = scipy.linalg.eigh(np.array(before, dtype=np.float64, order="C"))
+    assert np.array_equal(result.eigenvalues, w) and np.array_equal(result.eigenvectors, V)
+
+
 def _one_ulp_off(H):
-    # SciPy's copy hands LAPACK H[1, 0]; H's own storage would hand it H[0, 1]
     H[0, 1] = np.nextafter(H[0, 1], np.inf)
     return H
 
 
-@pytest.mark.parametrize("make", [
-    _read_only, np.asfortranarray, lambda H: H.astype(np.float32), _one_ulp_off,
-], ids=["read-only", "F-ordered", "float32", "not-symmetric"])
-def test_a_matrix_that_cannot_be_solved_in_place_is_copied(eigh_inputs, make):
+@pytest.mark.parametrize("make, match", [
+    (_one_ulp_off, "exactly symmetric"),
+    (lambda H: H.astype(complex), "must be real"),
+    (lambda H: H[:, 1:], "must be square"),
+], ids=["not-symmetric", "complex", "not-square"])
+def test_a_matrix_that_is_not_real_square_and_symmetric_is_refused(eigh_inputs, make, match):
     H = make(build_hamiltonian(enumerate_basis(3, 4), J=J, U=0.6 * J))
     before = H.copy()
-    w, V = exact._eigh(H, scipy.sparse.csr_array(H))
-    assert eigh_inputs[0][1] is False  # SciPy solves a copy of its own
-    assert np.array_equal(H, before) and H.dtype == before.dtype
-    w_ref, V_ref = scipy.linalg.eigh(before.copy())
-    assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+    with pytest.raises(BadParameterError, match=match):
+        full_spectrum(H)
+    assert not eigh_inputs
+    assert np.array_equal(H, before)
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
 def test_an_exactly_symmetric_matrix_with_an_infinity_is_refused(eigh_inputs, where):
-    # the in-place solve skips SciPy's finiteness pass; S's nonzeros send a
-    # non-finite H to SciPy's own copy path, whose check refuses it
+    # the solve skips SciPy's finiteness pass: H's sparse copy is read instead
     H = build_hamiltonian(enumerate_basis(3, 4), J=J, U=0.6 * J)
     H[where] = H[where[::-1]] = -np.inf
     before = H.copy()
-    with pytest.raises(ValueError, match="infs or NaNs"):
+    with pytest.raises(BadParameterError, match="finite"):
         full_spectrum(H)
-    assert eigh_inputs[0][1] is False
+    assert not eigh_inputs
     assert np.array_equal(H, before)
+
+
+def test_full_spectrum_refuses_by_memory_before_any_dense_allocation(monkeypatch):
+    # it needs 8 * 300^2 bytes of eigenvectors and 36 per nonzero of the sparse copy
+    A = np.random.default_rng(7).standard_normal((300, 300))
+    A = A + A.T
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 8 * 300 * 300 + 36 * A.size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="dimension 300 with 90000 nonzeros"):
+            full_spectrum(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 300 * 300 // 10
+    # one byte more solves it; a read-only matrix needs its private copy too
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 8 * 300 * 300 + 36 * A.size)
+    assert full_spectrum(A).eigenvalues.size == 300
+    with pytest.raises(CapacityError, match="needs about 4680000 bytes"):
+        full_spectrum(_read_only(A))
+
+
+def test_a_hamiltonian_that_diagonalize_admits_passes_the_gate_of_full_spectrum(monkeypatch):
+    H = build_hamiltonian(enumerate_basis(10, 5), J, 0.9 * J)  # dimension 1001
+    assert full_spectrum(H).eigenvalues.size == 1001  # the memory of this machine
+    monkeypatch.setattr(exact, "_available_bytes", lambda: exact.dense_bytes(1001))
+    assert full_spectrum(H).eigenvalues.size == 1001  # the least diagonalize admits
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -388,7 +428,7 @@ def test_atomic_limit_density_elements_vanish():
     # off-ground matrix element of the (diagonal) density operator is zero.
     basis = enumerate_basis(4, 4)
     H = build_hamiltonian(basis, J=0.0, U=1.0)
-    result = full_spectrum(H, basis)
+    result = full_spectrum(H)
     table = density_elements(result, basis)
     off = np.delete(table, result.ground_index, axis=0)
     assert np.max(np.abs(off)) < 1e-12
@@ -507,7 +547,7 @@ def test_sum_rule_all_channels_open():
     spec = LatticeSpec(L=4, n=1.0, U=J, J=J)
     basis = enumerate_basis(4, 4)
     H = build_hamiltonian(basis, J=J, U=J)
-    result = full_spectrum(H, basis)
+    result = full_spectrum(H)
     V = result.eigenvectors
     g = V[:, 0]
     rng = np.random.default_rng(2024)

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 from latscat.bogoliubov import (
     BogoliubovState,
     bog_inelastic_cs,
-    chemical_potential,
     solve_depletion,
 )
 from latscat.errors import UndefinedDeviationError
@@ -51,7 +50,6 @@ def frozen_condensate_state(L, n, u):
         lattice=spec,
         n0=n,
         depletion_fraction=0.0,
-        mu=chemical_potential(spec.U, n, J),
         omega_table=omega,
         healing_ok=True,
     )

@@ -244,3 +244,38 @@ def test_is_reciprocal():
     assert is_reciprocal(1e-10)
     assert not is_reciprocal(np.pi)
     assert not is_reciprocal(2 * np.pi / 5)
+
+
+# ------------------------------------------- non-finite physics parameters
+
+
+def _physics_calls():
+    """(function, argument) pairs of the Born kernels, each taking the bad value x."""
+    from latscat.bogoliubov import bog_inelastic_cs, bogoliubov_dispersion, solve_depletion
+    from latscat.limits import elastic_cs, largeL_bog_cs, sf_inelastic, slope_lambda
+
+    lattice = LatticeSpec(L=5, n=1, U=0.01)
+    probe = ProbeSpec(E0=2.0, theta=0.5)
+    state = solve_depletion(lattice)
+    return {
+        "form_factor-V0": lambda x: form_factor(1.0, x),
+        "bloch_dispersion-J": lambda x: bloch_dispersion(1.0, x),
+        "bogoliubov_dispersion-Un0": lambda x: bogoliubov_dispersion(1.0, DEFAULT_J, x),
+        "mi_inelastic-n": lambda x: mi_inelastic(5, x, 2.0, 0.5),
+        "mi_inelastic-U": lambda x: mi_inelastic(5, 1.0, 2.0, 0.5, U=x),
+        "elastic_cs-N": lambda x: elastic_cs(5, x, 2.0, 0.5),
+        "elastic_cs-V0": lambda x: elastic_cs(5, 5, 2.0, 0.5, V0=x),
+        "sf_inelastic-V0": lambda x: sf_inelastic(5, 2.0, 0.5, V0=x),
+        "bog_inelastic_cs-V0": lambda x: bog_inelastic_cs(state, probe, x),
+        "largeL_bog_cs-V0": lambda x: largeL_bog_cs(state, probe, x),
+        "slope_lambda-V0": lambda x: slope_lambda(5, 2.0, 0.5, V0=x).lambda_,
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", list(_physics_calls()))
+def test_a_non_finite_physics_parameter_is_refused_where_it_enters(name, bad):
+    call = _physics_calls()[name]
+    with pytest.raises(BadParameterError):
+        call(bad)
+    assert np.isfinite(call(1.0))  # a valid value of the same argument goes through

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from latscat import LatticeSpec, ProbeSpec
 from latscat.bogoliubov import bog_inelastic_cs, solve_depletion
 from latscat.errors import BadParameterError, CacheError, CapacityError
-from latscat import exact
+from latscat import exact, scans
 from latscat.exact import diagonalize, sector_spectrum
 from latscat.limits import slope_lambda
 from latscat.scans import (
@@ -248,6 +248,20 @@ def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
     reloaded = load_spectrum(path, lattice)
     assert np.array_equal(reloaded.eigenvalues, fresh.eigenvalues)
     assert np.array_equal(reloaded.weights, fresh.weights)
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache-dir", "cache-dir"])
+def test_a_lattice_repeated_in_one_call_is_solved_once_and_counted_once(
+    tmp_path, monkeypatch, cached
+):
+    solved, solve = [], scans.sector_spectrum
+    monkeypatch.setattr(scans, "sector_spectrum", lambda lat: solved.append(lat) or solve(lat))
+    lattice = _small_lattice()
+    manifest = RunManifest(command="test", parameters={})
+    first, again = cache_spectra([lattice, lattice], tmp_path if cached else None, manifest)
+    assert first is again and solved == [lattice]
+    assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
+    assert manifest.spectra["solved"] == 1
 
 
 def test_cache_spectrum_counts_hits(tmp_path):
