@@ -54,7 +54,6 @@ from .bogoliubov import (
     validity_check,
 )
 from .limits import (
-    ExactAngleSet,
     SlopeResult,
     deviation_delta_cs,
     elastic_cs,
@@ -114,7 +113,6 @@ __all__ = [
     "two_qp_contribution",
     "validity_check",
     # closed-form limits
-    "ExactAngleSet",
     "SlopeResult",
     "deviation_delta_cs",
     "elastic_cs",

@@ -136,13 +136,6 @@ class FockBasis:
         table = self._at_most
         return np.sum(table[sites, after + states] - table[sites, after], axis=-1)
 
-    def rank(self, occupation) -> int:
-        """Row of one occupation vector; KeyError when it is not a basis state."""
-        occupation = np.asarray(occupation)
-        if occupation.shape != (self.L,) or occupation.min() < 0 or occupation.sum() != self.N:
-            raise KeyError(tuple(int(x) for x in occupation.ravel()))
-        return int(self.ranks(occupation))
-
 
 def basis_dimension(N: int, L: int) -> int:
     """Number of N-particle states on L sites, C(N+L-1, N)."""
@@ -284,10 +277,10 @@ def build_hamiltonian(basis: FockBasis, J: float, U: float) -> np.ndarray:
     available memory (about DENSE_MATRICES * 8 * dim^2 bytes) is refused;
     where the available memory cannot be read, the check is skipped.
     """
-    if J < 0:
-        raise BadParameterError(f"tunneling must be non-negative, got J={J}")
-    if U < 0:
-        raise BadParameterError(f"interaction must be non-negative, got U={U}")
+    if not 0 <= J < math.inf:
+        raise BadParameterError(f"tunneling must be non-negative and finite, got J={J}")
+    if not 0 <= U < math.inf:
+        raise BadParameterError(f"interaction must be non-negative and finite, got U={U}")
     dim = basis.dim
     _refuse_past_memory("dense diagonalization", basis.N, basis.L, dense_bytes)
     source, target, root = _hops(basis, np.arange(dim))
@@ -383,49 +376,46 @@ def _mirror_lower(H: np.ndarray) -> None:
 def full_spectrum(H: np.ndarray) -> SpectrumResult:
     """All eigenpairs of a dense real symmetric matrix, with sanity checks.
 
-    Every H takes one path.  A matrix that is not square, real, finite and
-    exactly symmetric is refused with BadParameterError before any solve.
-    First H's nonzeros are counted, and CapacityError refuses the call when
-    the eigenvectors, the private copy below (when one is made) and the
-    sparse copy of H, 36 bytes per nonzero at its peak (measured with
-    tracemalloc at dims 300 to 3003, dense or not), would not fit in the
-    available memory.  An H that is not a writeable, C-contiguous float64
-    array is then copied into one, which is solved instead.
+    H is solved in its own storage or refused.  A matrix that is not
+    square, or not a writeable, C-contiguous float64 array, is refused with
+    BadParameterError.  CapacityError refuses the call when the eigenvectors
+    and the sparse copy of H, 36 bytes per nonzero at its peak (measured
+    with tracemalloc at dims 300 to 3003, dense or not), would not fit in
+    the available memory.  Only then is SciPy imported, the only place that
+    needs it, so a scan run, which solves in sectors, never loads it.
 
-    The sparse copy (about 12 bytes per nonzero) gives the finiteness and
-    symmetry tests and the residuals.  H is solved in its own storage:
-    LAPACK gets H.T, a Fortran-ordered array with the same numbers as the
-    copy SciPy would make, so the solve holds two dim x dim matrices, H and
-    the eigenvectors, instead of three.  The solver destroys H's upper
-    triangle and diagonal; they are rebuilt from the lower triangle and a
-    saved diagonal, so H is bit-identical afterwards even when the solve
-    raises, and one H must not be shared by threads that call full_spectrum
-    at the same time.
+    The sparse copy (about 12 bytes per nonzero) refuses a matrix that is
+    not finite and exactly symmetric, before the solve, and gives the
+    residuals.  LAPACK gets H.T, a Fortran-ordered array with the same
+    numbers as the copy SciPy would make, so the solve holds two dim x dim
+    matrices, H and the eigenvectors, instead of three.  The solver destroys
+    H's upper triangle and diagonal; they are rebuilt from the lower
+    triangle and a saved diagonal, so H is bit-identical afterwards even
+    when the solve raises, and one H must not be shared by threads that
+    call full_spectrum at the same time.
 
     Verifies the per-pair residual ||Hv - lambda v|| <= 1e-8 ||H|| and that
     the ground state is unique (gap above 1e-10 of the spectral range).
-    SciPy is imported here, the only place that needs it, so a scan run,
-    which solves in sectors, never loads it.
     """
-    import scipy.linalg
-    import scipy.sparse
-
     dim = H.shape[0]
     if H.shape != (dim, dim):
         raise BadParameterError(f"matrix must be square, got shape {H.shape}")
-    if H.dtype.kind not in "biuf":
-        raise BadParameterError(f"matrix must be real, got dtype {H.dtype}")
-    private = not (H.dtype == np.float64 and H.flags.c_contiguous and H.flags.writeable)
+    if not (H.dtype == np.float64 and H.flags.c_contiguous and H.flags.writeable):
+        raise BadParameterError(
+            f"matrix must be real and solvable in place (writeable, C-contiguous float64), got "
+            f"dtype {H.dtype}, writeable {H.flags.writeable}, C-contiguous {H.flags.c_contiguous}"
+        )
     available = _available_bytes()
     nonzeros = np.count_nonzero(H)
-    needed = 8 * dim * dim * (1 + private) + 36 * nonzeros
+    needed = 8 * dim * dim + 36 * nonzeros
     if available is not None and needed > available:
         raise CapacityError(
             f"dense diagonalization of dimension {dim} with {nonzeros} nonzeros needs "
             f"about {needed} bytes, but only {available} bytes of memory are available"
         )
-    if private:
-        H = np.array(H, dtype=np.float64, order="C")
+    import scipy.linalg
+    import scipy.sparse
+
     S = scipy.sparse.csr_array(H)
     if not np.isfinite(S.data).all() or (S != S.T).nnz:
         raise BadParameterError("matrix must be finite and exactly symmetric")
@@ -451,8 +441,9 @@ def density_elements(result: SpectrumResult, basis: FockBasis) -> np.ndarray:
 
     n_j is diagonal in the Fock basis, so the table is a single contraction
     of the (real) eigenvector matrix with the occupation table.  The ground
-    row is checked against particle-number conservation and translation
-    invariance of the unique ground state.
+    row must sum to N (particle-number conservation) and be uniform at N/L
+    (translation invariance of the unique ground state), both to
+    1e-10 max(1, N); NumericalError otherwise.
     """
     if result.density_elements is not None:
         return result.density_elements
@@ -463,25 +454,16 @@ def density_elements(result: SpectrumResult, basis: FockBasis) -> np.ndarray:
     occ = basis.states.astype(float)
     table = V.T @ (occ * g[:, None])
 
-    fault = ground_density_fault(table[result.ground_index], basis.N, basis.L)
-    if fault:
-        raise NumericalError(fault)
-    result.density_elements = table
-    return table
-
-
-def ground_density_fault(ground_row, N: int, L: int) -> str | None:
-    """Why a ground row <g|n_j|g> cannot belong to the unique ground state, or None.
-
-    The row must sum to N (particle-number conservation) and be uniform at
-    N/L (translation invariance), both to 1e-10 max(1, N).
-    """
+    N, ground_row = basis.N, table[result.ground_index]
     tol = 1e-10 * max(1.0, float(N))
     if not abs(float(np.sum(ground_row)) - N) <= tol:
-        return f"ground-state density sums to {np.sum(ground_row)!r}, expected N={N}"
-    if not np.max(np.abs(ground_row - N / L)) <= tol:
-        return "ground-state density profile is not uniform; translation symmetry looks broken"
-    return None
+        raise NumericalError(f"ground-state density sums to {np.sum(ground_row)!r}, expected N={N}")
+    if not np.max(np.abs(ground_row - N / basis.L)) <= tol:
+        raise NumericalError(
+            "ground-state density profile is not uniform; translation symmetry looks broken"
+        )
+    result.density_elements = table
+    return table
 
 
 def diagonalize(lattice: LatticeSpec) -> SpectrumResult:

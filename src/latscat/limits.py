@@ -341,36 +341,18 @@ def fit_small_u_slope(u_values, cs_values, degree: int = 4) -> float:
 # ------------------------------------------------- marker angles, deviation
 
 
-@dataclass(frozen=True)
-class ExactAngleSet:
-    """Angles where the finite-L and infinite-L formulas agree, plus window.
-
-    angles[i] corresponds to s_values[i]; window is (theta_1, theta_{L-1})
-    when both endpoints exist, else None.
-    """
-
-    angles: np.ndarray
-    s_values: np.ndarray
-    window: tuple | None
-
-
 def exact_angles(
     L: int, E0: float, mass_ratio: float = DEFAULT_MASS_RATIO, j: int = 0
-) -> ExactAngleSet:
-    """Marker angles theta_s = arcsin(2 sqrt(1/(E0 mass_ratio)) (j + s/L)).
+) -> np.ndarray:
+    """Marker angles theta_s = arcsin(2 sqrt(1/(E0 mass_ratio)) (j + s/L)), ascending.
 
     s runs over 1..L-1; entries whose arcsine argument exceeds 1 are
-    kinematically unreachable and dropped (possibly leaving an empty set).
+    kinematically unreachable and dropped (possibly leaving no angle).  A
+    probe energy or mass ratio that ProbeSpec refuses is refused here too.
     """
-    s = np.arange(1, L)
-    arg = 2.0 * np.sqrt(1.0 / (E0 * mass_ratio)) * (j + s / L)
-    keep = arg <= 1.0
-    angles = np.arcsin(arg[keep])
-    s_kept = s[keep]
-    window = None
-    if keep[0] and keep[-1]:
-        window = (float(angles[0]), float(angles[-1]))
-    return ExactAngleSet(angles=angles, s_values=s_kept, window=window)
+    ProbeSpec(E0, 0.0, mass_ratio)
+    arg = 2.0 * np.sqrt(1.0 / (E0 * mass_ratio)) * (j + np.arange(1, L) / L)
+    return np.arcsin(arg[arg <= 1.0])
 
 
 def relative_deviation(ref, test):

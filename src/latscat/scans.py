@@ -109,9 +109,6 @@ class ScanConfig:
     def particle_number(self) -> int:
         return LatticeSpec(L=self.L, n=self.n).N
 
-    def filling(self) -> float:
-        return self.particle_number() / self.L
-
     def lattice(self, U: float | None = None) -> LatticeSpec:
         """The configured lattice; refuses a filling that realizes no particle."""
         N = self.particle_number()
@@ -416,11 +413,12 @@ def output_paths(config: ScanConfig):
 
 
 def _base_manifest(config: ScanConfig) -> RunManifest:
+    realized = LatticeSpec(L=config.L, n=config.n)
     params = {
         "L": list(config.L_values),
-        "N": config.particle_number(),
+        "N": realized.N,
         "n": config.n,
-        "realized_n": config.filling(),
+        "realized_n": realized.realized_n,
         "U_over_J": config.U_over_J,
         "J": config.J,
         "V0": config.V0,
@@ -574,26 +572,36 @@ def _depletion_points(config, kinds, manifest):
 
 
 def _filling_cells(config, kinds, manifest):
-    """deviation-map: one lattice per (n, U/J) cell, n stepped up to the filling."""
+    """deviation-map: one lattice per (n, U/J) cell, n stepped up to the filling.
+
+    The fillings are laid out one at a time.  Every cell whose spectrum is
+    not in the cache must pass exact.require_capacity before the next
+    filling is laid out, so a filling past this machine's memory is refused
+    at its first cell that would not fit, however many steps it asks for.
+    """
     L, step = config.L, DEVIATION_FILLING_STEP
-    n_grid = [round(step * k, 10) for k in range(1, int(config.n / step + 1e-9) + 1)]
-    if not n_grid:
+    steps = int(config.n / step + 1e-9)
+    if steps < 1:
         raise BadParameterError(
             f"deviation-map steps the filling by {step}; --n must reach it, got {config.n}"
         )
-    manifest.parameters["n_grid"] = n_grid
     manifest.metadata["deviation_floor"] = (
         f"{DEVIATION_FLOOR_FRACTION:g} of grid maximum of the exact curve"
     )
     probes = _probes(config, _grid(manifest, "theta_grid", config.thetas()))
     u_grid = _grid(manifest, "u_grid", config.u_grid)
+    n_grid = manifest.parameters["n_grid"] = []
     sites = []
-    for n in n_grid:
+    for k in range(1, steps + 1):
+        n = round(step * k, 10)
         if int(round(n * L)) < 1:
             raise BadParameterError(f"cell n={n} realizes N=0 on L={L}")
         for u_over_j in u_grid:
             lattice = LatticeSpec(L=L, n=n, U=u_over_j * config.J, J=config.J, V0=config.V0)
+            if config.cache_dir is None or not cache_path(config.cache_dir, lattice).exists():
+                require_capacity(lattice.N, L)
             sites.append(Site(kinds, lattice, probes, (n, u_over_j)))
+        n_grid.append(n)
     return sites
 
 
@@ -601,9 +609,9 @@ def _lattice_sizes(config, kinds, manifest):
     """slope: one chain per L; the last also carries the L -> infinity reference."""
     markers = {}
     for j in range(4):
-        aset = exact_angles(config.L_values[-1], config.E0, config.mass_ratio, j)
-        if aset.angles.size:
-            markers[str(j)] = [float(a) for a in aset.angles]
+        angles = exact_angles(config.L_values[-1], config.E0, config.mass_ratio, j)
+        if angles.size:
+            markers[str(j)] = [float(a) for a in angles]
     manifest.metadata["marker_angles"] = markers
     probes = _probes(config, _grid(manifest, "theta_grid", config.thetas()))
     finite = tuple(k for k in kinds if k != "largeL")

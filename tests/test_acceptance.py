@@ -151,8 +151,7 @@ def criterion_07_interference_marker_angles():
     worst = (0.0, None, None)
     count = 0
     for j in range(4):
-        marker_set = exact_angles(L, E0, 1.0, j)
-        for theta in marker_set.angles:
+        for theta in exact_angles(L, E0, 1.0, j):
             finite = sf_inelastic(L, E0, float(theta))
             asymptotic = largeL_sf_inelastic(E0, float(theta))
             rel = abs(asymptotic - finite) / finite

@@ -308,20 +308,27 @@ def test_exit_2_negative_interaction(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
+    "command, flag, value",
     [
-        ("--E0", "nan"),
-        ("--J", "nan"),
-        ("--V0", "inf"),
-        ("--mass-ratio", "nan"),
-        ("--n", "inf"),
-        ("--n", "1e308"),
-        ("--mass-ratio", "1e308"),
+        pytest.param("theta-scan", flag, value, id=f"{flag}-{value}")
+        for flag, value in [
+            ("--E0", "nan"),
+            ("--J", "nan"),
+            ("--V0", "inf"),
+            ("--mass-ratio", "nan"),
+            ("--n", "inf"),
+            ("--n", "1e308"),
+            ("--mass-ratio", "1e308"),
+        ]
+    ] + [
+        # slope lays out its marker angles before any probe is built
+        pytest.param("slope", "--E0", "0", id="slope---E0-0"),
+        pytest.param("slope", "--mass-ratio", "0", id="slope---mass-ratio-0"),
     ],
 )
-def test_exit_2_non_finite_parameter(tmp_path, capsys, flag, value):
+def test_exit_2_non_finite_parameter(tmp_path, capsys, command, flag, value):
     code, out, _ = run_cli(
-        tmp_path, "theta-scan", "--L", "4", "--n", "1", "--theta-grid", "3", flag, value
+        tmp_path, command, "--L", "4", "--n", "1", "--theta-grid", "3", flag, value
     )
     assert code == 2
     assert "finite" in capsys.readouterr().err
@@ -365,6 +372,22 @@ def test_exit_3_capacity(tmp_path, capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert "capacity" in err and "N=40, L=5" in err
+
+
+def test_exit_3_before_laying_out_every_filling(tmp_path):
+    # 5e300 fillings of one particle more each: the first that does not fit
+    # in this machine's memory is refused before the next is laid out
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "latscat.cli", "deviation-map", "--L", "5", "--n", "1e300",
+            "--theta-grid", "3", "--out", str(tmp_path / "map.csv"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "latscat: capacity: N=" in proc.stderr
 
 
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):

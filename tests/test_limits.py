@@ -8,10 +8,9 @@ from latscat.bogoliubov import (
     bog_inelastic_cs,
     solve_depletion,
 )
-from latscat.errors import UndefinedDeviationError
+from latscat.errors import BadParameterError, UndefinedDeviationError
 from latscat.exact import diagonalize, exact_cross_section
 from latscat.limits import (
-    ExactAngleSet,
     SlopeResult,
     deviation_delta_cs,
     elastic_cs,
@@ -285,31 +284,33 @@ def test_frozen_condensate_fit_hits_the_large_l_coefficient():
 
 
 def test_exact_angles_landmark():
-    aset = exact_angles(10, 4.0, 1.0, j=0)
-    assert isinstance(aset, ExactAngleSet)
-    assert aset.angles.size == 9  # all of s = 1..9 reachable
-    assert_allclose(aset.angles[aset.s_values == 5], np.pi / 6, rtol=1e-14)
-    assert aset.window == (float(aset.angles[0]), float(aset.angles[-1]))
+    angles = exact_angles(10, 4.0, 1.0, j=0)
+    assert angles.size == 9  # all of s = 1..9 reachable, ascending
+    assert np.all(np.diff(angles) > 0)
+    assert_allclose(angles[4], np.pi / 6, rtol=1e-14)  # s = 5
 
 
 def test_exact_angles_filter_and_empty_set():
     # E0 = 0.1: arcsine argument 2*sqrt(10)*s/L > 1 for every s
-    aset = exact_angles(5, 0.1, 1.0, j=0)
-    assert aset.angles.size == 0
-    assert aset.window is None
+    assert exact_angles(5, 0.1, 1.0, j=0).size == 0
     # j = 1 at E0 = 5, L = 10: only low s survive
-    aset = exact_angles(10, 5.0, 1.0, j=1)
-    assert 0 < aset.angles.size < 9
-    assert aset.window is None
+    assert 0 < exact_angles(10, 5.0, 1.0, j=1).size < 9
 
 
 def test_exact_angles_are_interference_zeros():
     # at theta_s the elastic transfer folds onto the momentum grid, where
     # the interference sum vanishes identically
-    aset = exact_angles(10, 5.0, 1.0, j=0)
-    for theta in aset.angles:
+    for theta in exact_angles(10, 5.0, 1.0, j=0):
         kel = kappa_elastic(ProbeSpec(E0=5.0, theta=float(theta)))
         assert lattice_sum_sq(kel, 10) == pytest.approx(0.0, abs=1e-18)
+
+
+@pytest.mark.parametrize("E0", [0.0, -1.0, np.nan])
+def test_exact_angles_refuse_what_a_probe_refuses(E0):
+    with pytest.raises(BadParameterError, match="must be positive and finite"):
+        exact_angles(10, E0)
+    with pytest.raises(BadParameterError, match="must be positive and finite"):
+        exact_angles(10, 4.0, mass_ratio=E0)
 
 
 # ----------------------------------------------------------- deviation map
