@@ -20,6 +20,7 @@ from .errors import (
     CapacityError,
     NumericalError,
 )
+from .exact import require_grid_capacity
 from .model import LatticeSpec
 from .scans import COMMANDS, PROVENANCES, ScanConfig, execute
 
@@ -65,10 +66,10 @@ def _parse_theta_grid(text) -> dict:
         count = int(text)
     except ValueError:
         angles = tuple(_parse_float("theta-grid", piece) for piece in text.split(","))
-        return {"theta_values": angles}
+        return {"theta_grid": angles}
     if count < 2:
         raise BadParameterError(f"--theta-grid needs at least 2 points, got {count}")
-    return {"theta_points": count}
+    return {"theta_grid": count}
 
 
 def _parse_u_grid(text) -> dict:
@@ -81,6 +82,7 @@ def _parse_u_grid(text) -> dict:
         count = _parse_int("u-grid", pieces[2])
         if count < 1:
             raise BadParameterError(f"--u-grid count must be positive, got {count}")
+        count = require_grid_capacity(count, "u grid")
         return {"u_grid": tuple(float(v) for v in np.linspace(lo, hi, count))}
     values = tuple(_parse_float("u-grid", piece) for piece in text.split(","))
     if not values:

@@ -23,7 +23,7 @@ import os
 import tempfile
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -43,6 +43,7 @@ from .exact import (
     exact_cross_sections,
     ground_channel_fault,
     require_capacity,
+    require_grid_capacity,
     sector_spectrum,
 )
 from .limits import (
@@ -95,8 +96,9 @@ class ScanConfig:
     V0: float = DEFAULT_V0
     E0: float = DEFAULT_E0
     mass_ratio: float = DEFAULT_MASS_RATIO
-    theta_values: tuple | None = None  # explicit angles; None -> uniform grid
-    theta_points: int | None = None  # None -> the command's own grid
+    # None: the command's own angles; a count: that many uniform angles on
+    # [0, pi/2]; else the angles themselves
+    theta_grid: tuple | int | None = None
     u_grid: tuple = (0.01, 0.1, 1.0, 5.0, 10.0, 20.0)
     provenance: tuple | None = None
     cache_dir: str | None = None
@@ -106,32 +108,27 @@ class ScanConfig:
     def L(self) -> int:
         return self.L_values[0]
 
-    def particle_number(self) -> int:
-        return LatticeSpec(L=self.L, n=self.n).N
-
-    def lattice(self, U: float | None = None) -> LatticeSpec:
-        """The configured lattice; refuses a filling that realizes no particle."""
-        N = self.particle_number()
+    def lattice(self, L=None, n=None, U=None) -> LatticeSpec:
+        """A lattice of the run's couplings: the configured one, or that of
+        another chain length, filling or interaction.  The filling is the
+        realized N/L, N = round(n L); a filling that realizes no particle
+        is refused."""
+        L, n = self.L if L is None else L, self.n if n is None else n
+        N = LatticeSpec(L=L, n=n).N
         if N < 1:
-            raise BadParameterError(f"filling n={self.n} realizes N=0 on L={self.L}")
-        return LatticeSpec(
-            L=self.L,
-            n=N / self.L,
-            U=self.U_over_J * self.J if U is None else U,
-            J=self.J,
-            V0=self.V0,
-        )
+            raise BadParameterError(f"filling n={n} realizes N=0 on L={L}")
+        U = self.U_over_J * self.J if U is None else U
+        return LatticeSpec(L=L, n=N / L, U=U, J=self.J, V0=self.V0)
 
     def thetas(self, own=None) -> np.ndarray:
-        """The given angles, or a uniform grid of the given count; else the
-        command's ``own`` angles, or DEFAULT_THETA_POINTS uniform ones."""
-        if self.theta_values is not None:
-            return np.asarray(self.theta_values, dtype=float)
-        if self.theta_points is not None:
-            return np.linspace(0.0, np.pi / 2, self.theta_points)
-        if own is not None:
-            return np.asarray(own, dtype=float)
-        return np.linspace(0.0, np.pi / 2, DEFAULT_THETA_POINTS)
+        """The angle grid, or else the command's ``own`` angles, or else
+        DEFAULT_THETA_POINTS uniform ones."""
+        grid = self.theta_grid
+        if grid is None:
+            grid = DEFAULT_THETA_POINTS if own is None else own
+        if isinstance(grid, (int, np.integer)):
+            return np.linspace(0.0, np.pi / 2, require_grid_capacity(grid, "theta grid"))
+        return np.asarray(grid, dtype=float)
 
 
 @dataclass
@@ -159,26 +156,33 @@ class ScanTable:
         return [row[i] for row in self.rows]
 
 
+# The extremes of the spectra block: key -> (the SpectrumResult field it
+# reads, the pick over the run's solves); None until a solve reports one
+_SPECTRA_EXTREMES = {
+    "worst_residual": ("residual", max),
+    "min_ground_gap": ("ground_gap", min),
+    "worst_fsum_residual": ("fsum_residual", max),
+    "worst_s0_residual": ("s0_residual", max),
+}
+
+
 @dataclass
 class RunManifest:
-    """Everything needed to reproduce and audit one run."""
+    """Everything needed to reproduce and audit one run; its JSON is asdict()."""
 
     command: str
     parameters: dict
     outputs: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
+    # spectra read from the cache (hits) and solved (misses)
+    cache: dict = field(default_factory=lambda: {"hits": 0, "misses": 0})
     # the spectra this run solved: how many, their wall seconds, the worst
     # eigenpair residual over ||H||, the smallest ground-state gap E_1 - E_0,
     # and the worst f-sum (exact.fsum_residual) and zeroth-moment residuals
     # among them
     spectra: dict = field(
-        default_factory=lambda: {
-            "solved": 0, "solve_s": 0.0, "worst_residual": None, "min_ground_gap": None,
-            "worst_fsum_residual": None, "worst_s0_residual": None,
-        }
+        default_factory=lambda: {"solved": 0, "solve_s": 0.0, **dict.fromkeys(_SPECTRA_EXTREMES)}
     )
     wall_time_s: float = 0.0
     version: str = __version__
@@ -188,33 +192,9 @@ class RunManifest:
         block = self.spectra
         block["solved"] += len(results)
         block["solve_s"] += seconds
-        block["worst_residual"] = _fold(max, block["worst_residual"], [r.residual for r in results])
-        block["min_ground_gap"] = _fold(min, block["min_ground_gap"], [r.ground_gap for r in results])
-        block["worst_fsum_residual"] = _fold(
-            max, block["worst_fsum_residual"], [r.fsum_residual for r in results]
-        )
-        block["worst_s0_residual"] = _fold(
-            max, block["worst_s0_residual"], [r.s0_residual for r in results]
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "outputs": self.outputs,
-            "warnings": self.warnings,
-            "metadata": self.metadata,
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
-            "spectra": self.spectra,
-            "wall_time_s": self.wall_time_s,
-            "version": self.version,
-        }
-
-
-def _fold(pick, old, new):
-    """pick() over old and the new values, ignoring None; None when nothing is left."""
-    values = [v for v in (old, *new) if v is not None]
-    return pick(values) if values else None
+        for key, (name, pick) in _SPECTRA_EXTREMES.items():
+            values = [v for v in (block[key], *(getattr(r, name) for r in results)) if v is not None]
+            block[key] = pick(values) if values else None
 
 
 # ------------------------------------------------------------ spectrum cache
@@ -223,13 +203,12 @@ _CACHE_MAGIC = "LSCAT-SPEC"
 _CACHE_VERSION = "v2"
 
 
-def _cache_key(N: int, L: int, U_over_J: float, J: float) -> str:
-    return f"N={N} L={L} U_over_J={U_over_J:.17g} J={J:.17g}"
+def _cache_key(lattice: LatticeSpec) -> str:
+    return f"N={lattice.N} L={lattice.L} U_over_J={lattice.U / lattice.J:.17g} J={lattice.J:.17g}"
 
 
 def cache_path(cache_dir, lattice: LatticeSpec) -> Path:
-    key = _cache_key(lattice.N, lattice.L, lattice.U / lattice.J, lattice.J)
-    fname = "spec_" + key.replace(" ", "_").replace("=", "") + ".lspec"
+    fname = "spec_" + _cache_key(lattice).replace(" ", "_").replace("=", "") + ".lspec"
     return Path(cache_dir) / fname
 
 
@@ -238,10 +217,7 @@ def save_spectrum(path, result: SpectrumResult, lattice: LatticeSpec) -> None:
     if result.weights is None:
         raise BadParameterError("refusing to cache a spectrum without channels")
     path = Path(path)
-    header = (
-        f"{_CACHE_MAGIC} {_CACHE_VERSION} "
-        f"{_cache_key(lattice.N, lattice.L, lattice.U / lattice.J, lattice.J)}\n"
-    )
+    header = f"{_CACHE_MAGIC} {_CACHE_VERSION} {_cache_key(lattice)}\n"
     channels = np.stack([result.eigenvalues, result.momenta, result.weights], axis=1)
     _atomic_write_bytes(path, header.encode("ascii") + channels.astype("<f8").tobytes())
 
@@ -273,7 +249,7 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
         raise CacheError(
             f"spectrum cache {path} has format {parts[1]}, this version reads {_CACHE_VERSION}"
         )
-    expected = _cache_key(lattice.N, lattice.L, lattice.U / lattice.J, lattice.J).split()
+    expected = _cache_key(lattice).split()
     if parts[2:] != expected:
         raise CacheError(
             f"spectrum cache {path} is keyed {parts[2:]}, expected {expected}"
@@ -324,7 +300,7 @@ def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
     manifest = manifest or RunManifest(command="", parameters={})
     if cache_dir is not None:
         _make_dir(cache_dir)
-    keys = [_cache_key(lat.N, lat.L, lat.U / lat.J, lat.J) for lat in lattices]
+    keys = [_cache_key(lat) for lat in lattices]
     distinct = {}  # the first lattice of each key, in order
     for key, lattice in zip(keys, lattices):
         distinct.setdefault(key, lattice)
@@ -334,12 +310,12 @@ def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
         if path is not None and path.exists():
             try:
                 spectra[key] = load_spectrum(path, lattice)
-                manifest.cache_hits += 1
+                manifest.cache["hits"] += 1
                 continue
             except CacheError as exc:
                 manifest.warnings.append(f"recomputing spectrum: {exc}")
         misses.append(key)
-        manifest.cache_misses += 1
+        manifest.cache["misses"] += 1
 
     for key in misses:
         require_capacity(distinct[key].N, distinct[key].L)
@@ -399,7 +375,7 @@ def write_csv(path, table: ScanTable, manifest_path) -> None:
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
-    body = json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n"
+    body = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
     _atomic_write_bytes(Path(path), body.encode("ascii"))
 
 
@@ -567,19 +543,21 @@ def _u_points(config, kinds, manifest):
 def _depletion_points(config, kinds, manifest):
     """depletion: one lattice per u on the grid, without probes."""
     sites = _u_sites(config, kinds, manifest, [])
-    manifest.metadata["alpha_quadratic"] = depletion_alpha(config.L, config.particle_number())
+    manifest.metadata["alpha_quadratic"] = depletion_alpha(config.L, config.lattice().N)
     return sites
 
 
 def _filling_cells(config, kinds, manifest):
     """deviation-map: one lattice per (n, U/J) cell, n stepped up to the filling.
 
-    The fillings are laid out one at a time.  Every cell whose spectrum is
-    not in the cache must pass exact.require_capacity before the next
-    filling is laid out, so a filling past this machine's memory is refused
-    at its first cell that would not fit, however many steps it asks for.
+    Each step is laid out at its realized filling N/L, once per N, so both
+    theories of a cell read one filling.  The steps go one at a time: every
+    cell whose spectrum is not in the cache must pass exact.require_capacity
+    before the next step is laid out, so a filling past this machine's
+    memory is refused at its first cell that would not fit, however many
+    steps it asks for.
     """
-    L, step = config.L, DEVIATION_FILLING_STEP
+    step = DEVIATION_FILLING_STEP
     steps = int(config.n / step + 1e-9)
     if steps < 1:
         raise BadParameterError(
@@ -593,13 +571,13 @@ def _filling_cells(config, kinds, manifest):
     n_grid = manifest.parameters["n_grid"] = []
     sites = []
     for k in range(1, steps + 1):
-        n = round(step * k, 10)
-        if int(round(n * L)) < 1:
-            raise BadParameterError(f"cell n={n} realizes N=0 on L={L}")
+        n = config.lattice(n=step * k).n
+        if n_grid and n == n_grid[-1]:
+            continue
         for u_over_j in u_grid:
-            lattice = LatticeSpec(L=L, n=n, U=u_over_j * config.J, J=config.J, V0=config.V0)
+            lattice = config.lattice(n=n, U=u_over_j * config.J)
             if config.cache_dir is None or not cache_path(config.cache_dir, lattice).exists():
-                require_capacity(lattice.N, L)
+                require_capacity(lattice.N, lattice.L)
             sites.append(Site(kinds, lattice, probes, (n, u_over_j)))
         n_grid.append(n)
     return sites
@@ -618,8 +596,7 @@ def _lattice_sizes(config, kinds, manifest):
     last = len(config.L_values) - 1
     # the decay laws read only the chain length and the couplings
     return [
-        Site(kinds if j == last else finite, LatticeSpec(L=L, n=1.0, J=config.J, V0=config.V0),
-             probes)
+        Site(kinds if j == last else finite, config.lattice(L=L, n=1.0, U=0.0), probes)
         for j, L in enumerate(config.L_values)
     ]
 

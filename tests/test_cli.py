@@ -265,14 +265,14 @@ def test_resolve_accepts_consistent_N_and_n():
         ["theta-scan", "--L", "5", "--N", "10", "--n", "2.0"]
     )
     config = resolve_config(args)
-    assert config.particle_number() == 10
+    assert config.lattice().N == 10
 
 
 def test_N_alone_resolves_to_its_filling(tmp_path):
     args = build_parser().parse_args(["theta-scan", "--L", "5", "--N", "3"])
     config = resolve_config(args)
     assert "N" not in ScanConfig.__dataclass_fields__  # n is the only filling field
-    assert config.n == 0.6 and config.particle_number() == 3
+    assert config.n == 0.6 and config.lattice().N == 3
     code, _, manifest = run_cli(tmp_path, "theta-scan", "--L", "5", "--N", "3", "--theta-grid", "3")
     assert code == 0
     assert (manifest["parameters"]["N"], manifest["parameters"]["n"]) == (3, 0.6)
@@ -390,10 +390,30 @@ def test_exit_3_before_laying_out_every_filling(tmp_path):
     assert "latscat: capacity: N=" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["theta-scan", "--theta-grid", "1000000000000"], ["u-scan", "--u-grid", "0:1:1000000000000"]],
+    ids=["theta-grid", "u-grid"],
+)
+def test_exit_3_for_a_counted_grid_past_memory(tmp_path, args):
+    # 10^12 points at exact.GRID_POINT_BYTES each fit nowhere; they are
+    # refused before the grid is laid out
+    proc = subprocess.run(
+        [sys.executable, "-m", "latscat.cli", *args, "--out", str(tmp_path / "run.csv")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "latscat: capacity: a " in proc.stderr and "1000000000000 points" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
     # dimension C(5,3) = 10 in 4 orbits: the sector solve needs about
-    # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes
-    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1000)
+    # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes, one byte more than there
+    # is; the 3 angles, at exact.GRID_POINT_BYTES each, fit
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1967)
     code, out, _ = run_cli(
         tmp_path,
         "theta-scan",
@@ -401,7 +421,7 @@ def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "capacity" in err and "1968 bytes" in err and "1000 bytes" in err
+    assert "capacity" in err and "1968 bytes" in err and "1967 bytes" in err
     assert not out.exists()
 
 

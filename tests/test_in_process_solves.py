@@ -37,7 +37,7 @@ def test_every_library_error_survives_a_pickle_round_trip(cls):
 def test_run_that_raises_leaves_no_child_process():
     # at U/J = 1e12 the incommensurate cells look degenerate (gap/range ~ 1e-13)
     config = ScanConfig(
-        command="deviation-map", L_values=(5,), n=2.0, u_grid=(1e12,), theta_points=3
+        command="deviation-map", L_values=(5,), n=2.0, u_grid=(1e12,), theta_grid=3
     )
     with pytest.raises(DegenerateGroundStateError, match="ground-state gap"):
         run(config)

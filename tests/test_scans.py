@@ -162,7 +162,7 @@ def test_a_v1_cache_file_is_recomputed_with_a_warning(tmp_path):
     result = cache_spectra([lattice], tmp_path, manifest)[0]
     assert len(manifest.warnings) == 1
     assert "recomputing spectrum" in manifest.warnings[0] and "format v1" in manifest.warnings[0]
-    assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
+    assert (manifest.cache["hits"], manifest.cache["misses"]) == (0, 1)
     assert np.array_equal(result.weights, sector_spectrum(lattice).weights)
     assert path.read_bytes().startswith(b"LSCAT-SPEC v2 ")
 
@@ -177,7 +177,7 @@ def test_cache_spectrum_recovers_from_corruption(tmp_path):
     lattice = _small_lattice()
     manifest = RunManifest(command="test", parameters={})
     cache_spectra([lattice], tmp_path, manifest)[0]
-    assert manifest.cache_misses == 1
+    assert manifest.cache["misses"] == 1
     path = cache_path(tmp_path, lattice)
     path.write_bytes(b"garbage\n")
     result = cache_spectra([lattice], tmp_path, manifest)[0]
@@ -242,7 +242,7 @@ def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
     manifest = RunManifest(command="test", parameters={})
     result = cache_spectra([lattice], tmp_path, manifest)[0]
     assert len(manifest.warnings) == 1 and "recomputing spectrum" in manifest.warnings[0]
-    assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
+    assert (manifest.cache["hits"], manifest.cache["misses"]) == (0, 1)
     for name in ("eigenvalues", "momenta", "weights"):
         assert np.array_equal(getattr(result, name), getattr(fresh, name)), name
     reloaded = load_spectrum(path, lattice)
@@ -260,7 +260,7 @@ def test_a_lattice_repeated_in_one_call_is_solved_once_and_counted_once(
     manifest = RunManifest(command="test", parameters={})
     first, again = cache_spectra([lattice, lattice], tmp_path if cached else None, manifest)
     assert first is again and solved == [lattice]
-    assert (manifest.cache_hits, manifest.cache_misses) == (0, 1)
+    assert (manifest.cache["hits"], manifest.cache["misses"]) == (0, 1)
     assert manifest.spectra["solved"] == 1
 
 
@@ -269,7 +269,7 @@ def test_cache_spectrum_counts_hits(tmp_path):
     manifest = RunManifest(command="test", parameters={})
     first = cache_spectra([lattice], tmp_path, manifest)[0]
     second = cache_spectra([lattice], tmp_path, manifest)[0]
-    assert (manifest.cache_misses, manifest.cache_hits) == (1, 1)
+    assert (manifest.cache["misses"], manifest.cache["hits"]) == (1, 1)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.weights, second.weights)
 
@@ -278,7 +278,7 @@ def test_cache_spectrum_counts_hits(tmp_path):
 
 
 def test_theta_scan_covers_full_quadrant():
-    cfg = ScanConfig(command="theta-scan", L_values=(5,), n=1.0, theta_points=9)
+    cfg = ScanConfig(command="theta-scan", L_values=(5,), n=1.0, theta_grid=9)
     table, _ = run(cfg)
     thetas = sorted(set(table.column("theta")))
     assert thetas[0] == 0.0
@@ -293,7 +293,7 @@ def test_theta_scan_sf_and_mi_share_elastic_column():
         command="theta-scan",
         L_values=(9,),
         U_over_J=20.0,
-        theta_points=21,
+        theta_grid=21,
         provenance=("sf-limit", "mi-limit"),
     )
     table, _ = run(cfg)
@@ -310,7 +310,7 @@ def test_theta_scan_forward_inelastic_vanishes_for_all_provenances():
         L_values=(5,),
         n=1.0,
         U_over_J=1.0,
-        theta_points=3,
+        theta_grid=3,
         provenance=("exact", "bogoliubov", "sf-limit", "mi-limit", "largeL", "linear"),
     )
     table, _ = run(cfg)
@@ -322,7 +322,7 @@ def test_theta_scan_forward_inelastic_vanishes_for_all_provenances():
 def test_theta_scan_bog_rows_match_direct_evaluation():
     cfg = ScanConfig(
         command="theta-scan", L_values=(5,), n=2.0, U_over_J=3.0,
-        theta_points=7, provenance=("bogoliubov",),
+        theta_grid=7, provenance=("bogoliubov",),
     )
     table, manifest = run(cfg)
     state = solve_depletion(cfg.lattice())
@@ -335,7 +335,7 @@ def test_theta_scan_bog_rows_match_direct_evaluation():
 def test_u_scan_interaction_free_rows_agree():
     cfg = ScanConfig(
         command="u-scan", L_values=(5,), n=1.0,
-        u_grid=(0.0, 1.0), theta_values=(np.pi / 4,),
+        u_grid=(0.0, 1.0), theta_grid=(np.pi / 4,),
     )
     table, _ = run(cfg)
     at_zero = {r[2]: r[3] for r in table.rows if r[0] == 0.0}
@@ -348,7 +348,7 @@ def test_u_scan_linear_rows_follow_the_line():
     theta = 0.6
     cfg = ScanConfig(
         command="u-scan", L_values=(5,), n=2.0,
-        u_grid=(0.5, 2.0), theta_values=(theta,), provenance=("linear",),
+        u_grid=(0.5, 2.0), theta_grid=(theta,), provenance=("linear",),
     )
     table, _ = run(cfg)
     sl = slope_lambda(5, cfg.E0, theta, cfg.V0, cfg.mass_ratio, cfg.J)
@@ -359,7 +359,7 @@ def test_u_scan_linear_rows_follow_the_line():
 def test_u_scan_depletion_column_tracks_solver():
     cfg = ScanConfig(
         command="u-scan", L_values=(4,), n=1.0,
-        u_grid=(2.0,), theta_values=(0.7,), provenance=("bogoliubov",),
+        u_grid=(2.0,), theta_grid=(0.7,), provenance=("bogoliubov",),
     )
     table, _ = run(cfg)
     state = solve_depletion(LatticeSpec(L=4, n=1.0, U=2.0 * cfg.J, J=cfg.J))
@@ -367,20 +367,20 @@ def test_u_scan_depletion_column_tracks_solver():
 
 
 def test_heatmap_caps_probe_energy_grid():
-    cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, E0=9.0, theta_points=3)
+    cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, E0=9.0, theta_grid=3)
     table, manifest = run(cfg)
     assert any("capped" in w for w in manifest.warnings)
     assert max(table.column("E0")) < 6.0
 
 
 def test_heatmap_quiet_within_band():
-    cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, E0=2.0, theta_points=3)
+    cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, E0=2.0, theta_grid=3)
     _, manifest = run(cfg)
     assert manifest.warnings == []
 
 
 def test_heatmap_forward_column_is_zero():
-    cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, theta_points=3)
+    cfg = ScanConfig(command="heatmap", L_values=(10,), n=1.0, theta_grid=3)
     table, _ = run(cfg)
     for row in table.rows:
         if row[1] == 0.0:
@@ -390,7 +390,7 @@ def test_heatmap_forward_column_is_zero():
 def test_heatmap_reference_depletion_metadata():
     # weakly interacting benchmark: one percent depleted
     cfg = ScanConfig(
-        command="heatmap", L_values=(100,), n=1.0, U_over_J=0.02, theta_points=3
+        command="heatmap", L_values=(100,), n=1.0, U_over_J=0.02, theta_grid=3
     )
     _, manifest = run(cfg)
     assert manifest.metadata["depletion_fraction"] == pytest.approx(0.012, abs=1.5e-3)
@@ -405,14 +405,28 @@ def test_heatmap_rejects_exact_provenance():
 def test_deviation_map_improves_with_filling():
     cfg = ScanConfig(
         command="deviation-map", L_values=(4,), n=1.0,
-        u_grid=(1.0, 5.0), theta_points=31,
+        u_grid=(1.0, 5.0), theta_grid=31,
     )
     table, _ = run(cfg)
     at_u1 = {r[0]: r[3] for r in table.rows if r[1] == 1.0}
-    assert at_u1[1.0] < at_u1[0.2]
+    assert at_u1[1.0] < at_u1[0.25]
     # inset behavior: depletion grows with interaction at fixed filling
     dep = {r[1]: r[4] for r in table.rows if r[0] == 1.0}
     assert dep[5.0] > dep[1.0]
+
+
+def test_deviation_map_cells_sit_at_their_realized_filling():
+    # on L = 4 the steps 0.2 .. 1.0 realize N = 1, 2, 2, 3, 4: each N is
+    # one cell, and its quasiparticle side reads the same N / 4
+    cfg = ScanConfig(
+        command="deviation-map", L_values=(4,), n=1.0, u_grid=(1.0,), theta_grid=3
+    )
+    table, manifest = run(cfg)
+    assert manifest.parameters["n_grid"] == [0.25, 0.5, 0.75, 1.0]
+    assert table.column("n") == [0.25, 0.5, 0.75, 1.0]
+    for N, depletion in zip(range(1, 5), table.column("depletion")):
+        lattice = LatticeSpec(L=4, n=N / 4, U=1.0 * cfg.J, J=cfg.J, V0=cfg.V0)
+        assert depletion == solve_depletion(lattice).depletion_fraction
 
 
 def test_deviation_map_names_failing_cell(monkeypatch):
@@ -427,7 +441,7 @@ def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
     # on L = 3 only the n = 1.0 cell (N = 3, dimension 10 in 4 orbits) needs
     # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes for its sector solve
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1967)
-    cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_points=3)
+    cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_grid=3)
     with pytest.raises(CapacityError, match=r"N=3, L=3: .* 1968 bytes.* 1967 bytes"):
         run(cfg)
 
@@ -447,7 +461,7 @@ def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, 
 
 def test_slope_emits_reference_rows_and_markers():
     cfg = ScanConfig(
-        command="slope", L_values=(5, 9), E0=2.0, theta_values=(0.01, 0.7)
+        command="slope", L_values=(5, 9), E0=2.0, theta_grid=(0.01, 0.7)
     )
     table, manifest = run(cfg)
     assert len(table.rows) == 2 * 3  # two angles x (two L + one reference)
@@ -465,7 +479,7 @@ def test_slope_emits_reference_rows_and_markers():
 
 
 def test_slope_reference_diverges_at_forward_angle():
-    cfg = ScanConfig(command="slope", L_values=(5,), theta_values=(0.0,))
+    cfg = ScanConfig(command="slope", L_values=(5,), theta_grid=(0.0,))
     table, _ = run(cfg)
     ref = [r for r in table.rows if r[2] == "largeL"][0]
     assert math.isinf(ref[3])
@@ -474,7 +488,7 @@ def test_slope_reference_diverges_at_forward_angle():
 
 def test_compare_reports_per_angle_deviation():
     cfg = ScanConfig(
-        command="compare", L_values=(5,), U_over_J=1.0, theta_points=9
+        command="compare", L_values=(5,), U_over_J=1.0, theta_grid=9
     )
     table, manifest = run(cfg)
     assert len(table.rows) == 18
@@ -512,7 +526,7 @@ def test_depletion_runner_columns():
 def test_execute_writes_csv_and_manifest(tmp_path):
     out = tmp_path / "run.csv"
     cfg = ScanConfig(
-        command="theta-scan", L_values=(4,), n=1.0, theta_points=5, out=str(out)
+        command="theta-scan", L_values=(4,), n=1.0, theta_grid=5, out=str(out)
     )
     csv_path, manifest = execute(cfg)
     assert csv_path == out
@@ -533,7 +547,7 @@ def test_execute_is_byte_deterministic(tmp_path):
     out = tmp_path / "det.csv"
     cfg = ScanConfig(
         command="u-scan", L_values=(4,), n=1.0, u_grid=(0.5, 1.5),
-        theta_values=(0.7,), out=str(out),
+        theta_grid=(0.7,), out=str(out),
     )
     execute(cfg)
     first = out.read_bytes()
@@ -561,7 +575,7 @@ def test_artifacts_honour_the_umask(tmp_path):
         out = tmp_path / "run.csv"
         cfg = ScanConfig(
             command="u-scan", L_values=(4,), n=1.0, u_grid=(0.5,),
-            theta_values=(0.7,), cache_dir=str(tmp_path / "cache"), out=str(out),
+            theta_grid=(0.7,), cache_dir=str(tmp_path / "cache"), out=str(out),
         )
         execute(cfg)
     finally:
@@ -574,13 +588,13 @@ def test_artifacts_honour_the_umask(tmp_path):
 
 def test_rows_follow_the_requested_provenances():
     cfg = ScanConfig(
-        command="compare", L_values=(4,), U_over_J=1.0, theta_points=3,
+        command="compare", L_values=(4,), U_over_J=1.0, theta_grid=3,
         provenance=("bogoliubov",),
     )
     table, manifest = run(cfg)
     assert set(table.column("provenance")) == {"bogoliubov"}
     assert manifest.parameters["provenance"] == ["bogoliubov"]
-    cfg = ScanConfig(command="slope", L_values=(5, 9), theta_points=3, provenance=("linear",))
+    cfg = ScanConfig(command="slope", L_values=(5, 9), theta_grid=3, provenance=("linear",))
     table, _ = run(cfg)
     assert set(table.column("provenance")) == {"linear"}
     assert len(table.rows) == 3 * 2
@@ -589,7 +603,7 @@ def test_rows_follow_the_requested_provenances():
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_a_manifest_records_only_the_grids_its_command_reads(command):
     # depletion reads no angle; only u-scan, depletion and deviation-map sweep u
-    cfg = ScanConfig(command=command, L_values=(3,), n=1.0, theta_points=3, u_grid=(0.5, 2.0))
+    cfg = ScanConfig(command=command, L_values=(3,), n=1.0, theta_grid=3, u_grid=(0.5, 2.0))
     table, manifest = run(cfg)
     params = manifest.parameters
     assert ("theta_grid" in params) == (command != "depletion")

@@ -199,7 +199,7 @@ def test_every_command_writes_the_same_bytes_for_one_lattice(tmp_path):
     run(ScanConfig(command="u-scan", L_values=(4,), n=1.0, u_grid=(2.0,), cache_dir=str(tmp_path / "u")))
     run(
         ScanConfig(
-            command="deviation-map", L_values=(4,), n=1.0, u_grid=(2.0,), theta_points=3,
+            command="deviation-map", L_values=(4,), n=1.0, u_grid=(2.0,), theta_grid=3,
             cache_dir=str(tmp_path / "d"),
         )
     )
