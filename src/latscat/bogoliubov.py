@@ -8,12 +8,16 @@ after which the quasiparticle dispersion omega_q feeds the analytic
 inelastic cross section (one-quasiparticle channel) and the two-
 quasiparticle diagnostic term, both summed over open channels by
 model.open_channel_sum; a one-probe function is the one-element list of
-its curve.  Non-finite parameters are refused.
+its curve.  A state keeps one entry, the open modes of the last probe
+energy it was asked for (BogoliubovState.channels): their mask, roots,
+quasimomenta and mode weights, four arrays of at most L - 1 numbers.  It is
+replaced when another energy is asked for and holds no cross section.
+Non-finite parameters are refused.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,12 +26,15 @@ from .errors import BadParameterError, ConvergenceError
 from .model import (
     RECIPROCAL_TOL,
     LatticeSpec,
+    OpenChannels,
     ProbeSpec,
     bisect,
     bloch_dispersion,
     form_factor,
+    last_channels,
     lattice_sum_sq,
     open_channel_sum,
+    open_channels,
     quasimomentum_grid,
 )
 
@@ -41,7 +48,8 @@ class BogoliubovState:
     n0 is the condensate filling, omega_table the quasiparticle energies
     over the q != 0 grid, and healing_ok the advisory healing-length
     validity flag.  The grid itself and its Bloch energies eps_q are built
-    once, when first asked for.
+    once, when first asked for, and so are the open modes of the last probe
+    energy asked for (``channels``), one entry that holds no cross section.
     """
 
     lattice: LatticeSpec
@@ -63,6 +71,22 @@ class BogoliubovState:
     def eps(self) -> np.ndarray:
         """Bloch energies eps_q over the grid."""
         return bloch_dispersion(self.grid, self.lattice.J)
+
+    def channels(self, E0: float) -> OpenChannels:
+        """The modes with omega_q < E0, kept for the last E0 asked for.
+
+        Its rows are the open quasimomenta q and the mode weights
+        (root (n0/n)) (eps_q/omega_q), with root = sqrt(1 - omega_q/E0).
+        """
+        return last_channels(self, E0, self._open_modes)
+
+    def _open_modes(self, E0: float) -> OpenChannels:
+        omega = self.omega_table
+        entry = open_channels(omega, E0, (self.grid, self.eps / omega))
+        grid, ratio = entry.rows
+        weight = (entry.root * (self.n0 / self.lattice.n)) * ratio
+        weight.flags.writeable = False
+        return replace(entry, rows=(grid, weight))
 
 
 def _quasiparticle_energy(eps, Un0):
@@ -180,19 +204,17 @@ def bog_inelastic_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> flo
 
 def bog_inelastic_curve(state: BogoliubovState, probes, V0: float) -> np.ndarray:
     """bog_inelastic_cs at every probe, in one open-channel sum."""
-    lattice = state.lattice
-    grid, eps, omega = state.grid, state.eps, state.omega_table
+    L = state.lattice.L
 
     def summand(open_, root, kq, kel, E0):
-        return (
-            root
-            * (state.n0 / lattice.n)
-            * (eps[open_] / omega[open_])
-            * lattice_sum_sq(kq - grid[open_], lattice.L)
-            * form_factor(kq, V0) ** 2
-        )
+        grid, weight = state.channels(E0).rows
+        terms = lattice_sum_sq(kq - grid, L)
+        terms *= weight
+        w2 = form_factor(kq, V0)
+        terms *= np.square(w2, out=w2)
+        return terms
 
-    return open_channel_sum(probes, omega, summand) / lattice.L**2
+    return open_channel_sum(probes, state.channels, summand) / L**2
 
 
 def pair_coupling(eps_q, eps_p, Un0: float, same_mode):

@@ -9,7 +9,12 @@ density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
 every energy difference.  Like every open-channel sum, the inelastic one
 goes through model.open_channel_sum, which takes the probes of a curve at
-once; non-finite parameters are refused.
+once; non-finite parameters are refused.  A spectrum keeps one entry, the
+open channels of the last probe energy it was asked for
+(SpectrumResult.channels): their mask, roots and count, and their momenta
+and weights or their rows of the density table.  It is at most the size of
+those arrays, is replaced when another energy is asked for, and holds no
+cross section.
 
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
 and hands its own storage to SciPy's eigensolver, which writes it during
@@ -44,11 +49,14 @@ from .errors import (
 )
 from .model import (
     LatticeSpec,
+    OpenChannels,
     ProbeSpec,
     form_factor,
     kappa_elastic,
+    last_channels,
     lattice_sum_sq,
     open_channel_sum,
+    open_channels,
 )
 
 # Dense diagonalization holds about this many dim x dim double matrices at
@@ -327,6 +335,8 @@ class SpectrumResult:
     residuals, sector solves only) are the checks of the solve, None where
     the spectrum was not solved here.
     Instances are treated as immutable once construction has filled them.
+    A spectrum also keeps the open channels of the last probe energy asked
+    for (``channels``), one entry that holds no cross section.
     """
 
     eigenvalues: np.ndarray
@@ -340,6 +350,26 @@ class SpectrumResult:
     weights: np.ndarray | None = None
     fsum_residual: float | None = None
     s0_residual: float | None = None
+
+    def channels(self, E0: float) -> OpenChannels:
+        """The excited states with E - E_ground < E0, kept for the last E0 asked for.
+
+        count is the number of them.  A sector spectrum's rows are the
+        momenta and weights of those that carry weight (no excited K = 0
+        state does), a dense spectrum's row is their part of the table of
+        <e|n_j|g>.
+        """
+        return last_channels(self, E0, self._open_states)
+
+    def _open_states(self, E0: float) -> OpenChannels:
+        dE = self.eigenvalues - self.ground_energy
+        dE[self.ground_index] = np.inf  # the ground state is not a channel
+        count = int(np.count_nonzero(dE < E0))
+        if self.weights is None:
+            return open_channels(dE, E0, (self.density_elements,), count)
+        carrying = self.weights > 0
+        rows = (self.momenta[carrying], self.weights[carrying])
+        return open_channels(dE[carrying], E0, rows, count)
 
 
 def _worst_residual(A, V: np.ndarray, w: np.ndarray) -> float:
@@ -747,22 +777,20 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
     Bragg peak.  The elastic term is the ground channel at kel with root 1.
     A dense spectrum sums its table of <e|n_j|g> against the lattice phases.
     """
-    dE = spectrum.eigenvalues - spectrum.ground_energy
-    dE[spectrum.ground_index] = np.inf  # the ground state is not a channel
     if spectrum.weights is not None:
-        inelastic, elastic = _channel_sums(spectrum, lattice, probes, dE)
+        inelastic, elastic = _channel_sums(spectrum, lattice, probes)
     elif spectrum.density_elements is not None:
-        inelastic, elastic = _table_sums(spectrum, lattice, probes, dE)
+        inelastic, elastic = _table_sums(spectrum, lattice, probes)
     else:
         raise BadParameterError("spectrum has neither channels nor density elements")
-    counts = {E0: int(np.count_nonzero(dE < E0)) for E0 in {p.E0 for p in probes}}
+    counts = {E0: spectrum.channels(E0).count for E0 in {p.E0 for p in probes}}
     return [
         ExactCrossSection(p.theta, float(el), float(inel), counts[p.E0])
         for p, el, inel in zip(probes, elastic, inelastic)
     ]
 
 
-def _channel_sums(spectrum, lattice, probes, dE):
+def _channel_sums(spectrum, lattice, probes):
     """Inelastic and elastic cross sections per probe from the channels.
 
     Only the channels that carry weight are summed: no excited K = 0 state does.
@@ -772,23 +800,29 @@ def _channel_sums(spectrum, lattice, probes, dE):
         raise BadParameterError(
             f"spectrum has {spectrum.weights.size} channels, the lattice's basis has {dim} states"
         )
-    carrying = spectrum.weights > 0
-    K, weight = spectrum.momenta[carrying], spectrum.weights[carrying]
 
     def terms(root, kappa, momentum, weight):
-        folded = np.pi - np.mod(np.pi - (kappa + momentum), 2 * np.pi)  # into (-pi, pi]
-        return root * form_factor(kappa, lattice.V0) ** 2 * weight * lattice_sum_sq(folded, lattice.L)
+        folded = kappa + momentum
+        np.subtract(np.pi, folded, out=folded)
+        np.mod(folded, 2 * np.pi, out=folded)
+        np.subtract(np.pi, folded, out=folded)  # into (-pi, pi]
+        out = form_factor(kappa, lattice.V0)
+        np.square(out, out=out)
+        out *= root
+        out *= weight
+        out *= lattice_sum_sq(folded, lattice.L)
+        return out
 
     def summand(open_, root, kappa_e, kel, E0):
-        return terms(root, kappa_e, K[open_], weight[open_])
+        return terms(root, kappa_e, *spectrum.channels(E0).rows)
 
     g = spectrum.ground_index
     kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
     elastic = terms(1.0, kels, spectrum.momenta[g], spectrum.weights[g])
-    return open_channel_sum(probes, dE[carrying], summand), elastic
+    return open_channel_sum(probes, spectrum.channels, summand), elastic
 
 
-def _table_sums(spectrum, lattice, probes, dE):
+def _table_sums(spectrum, lattice, probes):
     """Inelastic and elastic cross sections per probe from the density table."""
     table = spectrum.density_elements
     L = lattice.L
@@ -799,17 +833,22 @@ def _table_sums(spectrum, lattice, probes, dE):
     x = np.arange(1, L + 1, dtype=float)
 
     def summand(open_, root, kappa_e, kel, E0):
+        (rows,) = spectrum.channels(E0).rows
         phases = np.exp(1j * (kappa_e[..., None] * x))
-        amps = np.einsum("pej,ej->pe", phases, table[open_])
-        return root * form_factor(kappa_e, lattice.V0) ** 2 * np.abs(amps) ** 2
+        amps = np.abs(np.einsum("pej,ej->pe", phases, rows))
+        out = form_factor(kappa_e, lattice.V0)
+        np.square(out, out=out)
+        out *= root
+        out *= np.square(amps, out=amps)
+        return out
 
-    inelastic = open_channel_sum(probes, dE, summand)
+    inelastic = open_channel_sum(probes, spectrum.channels, summand)
     ground_row = table[spectrum.ground_index]
     elastic = []
     # the elastic term stays per probe: abs() of a complex scalar and
     # np.abs of an array round differently, and the values must not move
     for probe in probes:
         kel = kappa_elastic(probe)
-        amp_el = np.sum(np.exp(1j * kel * x) * ground_row)
+        amp_el = (np.exp(1j * kel * x) * ground_row).sum()
         elastic.append(float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2))
     return inelastic, elastic

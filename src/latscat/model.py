@@ -2,7 +2,10 @@
 
 Also the one open-channel kernel of every inelastic Born sum, exact or
 quasiparticle: open_channel_sum(probes, omega, summand) takes a list of
-probes, groups them by energy E0 and returns one sum per probe.
+probes, groups consecutive probes of one energy E0 and returns one sum per
+probe.  A spectrum or a condensate keeps one OpenChannels entry, the open
+channels of the last E0 it was asked for (last_channels), so a run of
+one-probe calls at one energy builds them once.
 
 Unit system: lattice constant d = 1, recoil energy E_r = 1, scattering
 length a_s = 1. Energies (J, U, E0, dispersions) are therefore pure
@@ -11,9 +14,11 @@ units of a_s^2.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -136,26 +141,54 @@ def kappa_elastic(probe: ProbeSpec) -> float:
 
 
 def form_factor(kappa, V0: float):
-    """Gaussian on-site form factor W(kappa) = exp(-(kappa d)^2 / (4 pi^2 sqrt(V0)))."""
+    """Gaussian on-site form factor W(kappa) = exp(-(kappa d)^2 / (4 pi^2 sqrt(V0))).
+
+    An array is evaluated in place in one array of its own, and kappa is
+    never written.  A scalar takes numpy's scalar arithmetic instead, which
+    is faster than filling a 0-d array, with the same operations.
+    """
     if not 0 < V0 < math.inf:
         raise BadParameterError(f"lattice depth must be positive and finite, got V0={V0}")
-    return np.exp(-np.asarray(kappa, dtype=float) ** 2 / (4.0 * np.pi**2 * np.sqrt(V0)))
+    kappa = np.asarray(kappa, dtype=float)
+    scale = 4.0 * np.pi**2 * np.sqrt(V0)
+    if not kappa.ndim:
+        return np.exp(-kappa**2 / scale)
+    out = np.square(kappa)
+    np.negative(out, out=out)
+    np.divide(out, scale, out=out)
+    return np.exp(out, out=out)
 
 
 def lattice_sum_sq(k, L: int):
     """Squared interference sum |Sigma(k)|^2 = sin^2(kL/2) / sin^2(k/2).
 
     At the removable singularities k = 0 (mod 2*pi) the coherent value L^2
-    is returned; the branch triggers for |sin(k/2)| < 1e-9.
+    is returned; the branch triggers for |sin(k/2)| < 1e-9.  An array is
+    evaluated in place in two arrays of its own, and k is never written.  A
+    scalar takes numpy's scalar arithmetic instead, with the same
+    operations, and gives a float.
     """
     if not isinstance(L, (int, np.integer)) or L < 2:
         raise BadParameterError(f"interference sum needs an integer L >= 2, got {L!r}")
     k = np.asarray(k, dtype=float)
-    half_sin = np.sin(k / 2.0)
-    singular = np.abs(half_sin) < RECIPROCAL_TOL
-    denom = np.where(singular, 1.0, half_sin**2)
-    out = np.where(singular, float(L * L), np.sin(k * L / 2.0) ** 2 / denom)
-    return out if out.ndim else float(out)
+    if not k.ndim:
+        half_sin = np.sin(k / 2.0)
+        if abs(half_sin) < RECIPROCAL_TOL:
+            return float(L * L)
+        return float(np.sin(k * L / 2.0) ** 2 / half_sin**2)
+    denom = np.divide(k, 2.0)
+    np.sin(denom, out=denom)
+    out = np.abs(denom)
+    singular = out < RECIPROCAL_TOL
+    np.square(denom, out=denom)
+    np.copyto(denom, 1.0, where=singular)
+    np.multiply(k, L, out=out)
+    np.divide(out, 2.0, out=out)
+    np.sin(out, out=out)
+    np.square(out, out=out)
+    np.divide(out, denom, out=out)
+    np.copyto(out, float(L * L), where=singular)
+    return out
 
 
 def fold_to_zone(k):
@@ -180,36 +213,93 @@ def is_reciprocal(kappa):
 CHUNK_TERMS = 1 << 14
 
 
+@dataclass(frozen=True)
+class OpenChannels:
+    """The channels of one owner that a probe of energy E0 can excite.
+
+    ``open`` masks the owner's channel energies omega below E0, ``root`` is
+    sqrt(1 - omega/E0) at those channels, ``count`` is the number of the
+    owner's states below E0, and ``rows`` are the owner's per-channel
+    arrays at the open channels: views when every channel is open, copies
+    otherwise.  Every array is read-only.  An entry holds channel data
+    only, never a cross section.
+    """
+
+    E0: float
+    open: np.ndarray
+    root: np.ndarray
+    count: int
+    rows: tuple = ()
+
+
+def open_channels(omega, E0: float, rows=(), count=None) -> OpenChannels:
+    """The channels of omega below E0, with each of ``rows`` taken at them.
+
+    count defaults to the number of open channels.
+    """
+    open_ = omega < E0
+    if open_.all():
+        root = np.sqrt(1.0 - omega / E0)
+        # views, C-contiguous as row[open_] would be; the owner's arrays stay writeable
+        rows = tuple(np.ascontiguousarray(row).view() for row in rows)
+    else:
+        root = np.sqrt(1.0 - omega[open_] / E0)
+        rows = tuple(row[open_] for row in rows)
+    for array in (open_, root, *rows):
+        array.flags.writeable = False
+    return OpenChannels(E0, open_, root, root.size if count is None else count, rows)
+
+
+def last_channels(owner, E0: float, build) -> OpenChannels:
+    """The owner's open channels at E0, kept for the last E0 it was asked for.
+
+    The owner holds one entry, in its ``_open_channels`` attribute.  An
+    entry of another energy is replaced by build(E0), which is built in
+    full and then published by one store: a thread reads the old entry or
+    the new one, never half of one.  No lock is taken.  Threads at
+    different energies only rebuild each other's entry, and each goes on
+    with the entry it got, so a caller that needs an entry's data twice in
+    one sum asks for it again at its own E0.
+    """
+    entry = owner.__dict__.get("_open_channels")
+    if entry is None or entry.E0 != E0:
+        entry = build(E0)
+        owner.__dict__["_open_channels"] = entry
+    return entry
+
+
 def open_channel_sum(probes, omega, summand) -> np.ndarray:
     """Sum of summand(open, root, kappa, kel, E0) over the channels omega < E0, per probe.
 
-    Returns one float64 per probe, in probe order.  The probes are grouped
-    by their energy E0; ``open`` masks the channels of ``omega`` below it
-    and root = sqrt(1 - omega/E0) is theirs.  The summand sees a block of
-    probes of one group: their elastic transfers ``kel`` as a column and
-    kappa = kel * root, the energy-rescaled transfers, with one row per
-    probe and one column per open channel.  It returns the terms in that
-    shape, and each row is summed on its own over the same compacted
-    channels, so a probe's sum is bit for bit the one it has alone.  A
-    probe's sum is exactly 0.0 when its kel sits on a reciprocal lattice
-    vector (theta = 0 included; its row is summed and then overwritten) or
-    no channel is open.
+    Returns one float64 per probe, in probe order.  ``omega`` is an array of
+    channel energies, or an owner's method that returns its OpenChannels
+    at an energy, so that the owner builds them once per E0.  Each run of
+    consecutive probes of one energy E0 is a group; ``open`` masks the
+    channels below E0 and root = sqrt(1 - omega/E0) is theirs.  The summand
+    sees a block of probes of one group: their elastic transfers ``kel`` as
+    a column and kappa = kel * root, the energy-rescaled transfers, with
+    one row per probe and one column per open channel.  It returns the
+    terms in that shape, and each row is summed on its own over the same
+    compacted channels, so a probe's sum is bit for bit the one it has
+    alone.  A probe's sum is exactly 0.0 when its kel sits on a reciprocal
+    lattice vector (theta = 0 included; its row is summed and then
+    overwritten) or no channel is open.
     """
+    channels_at = omega if callable(omega) else partial(open_channels, omega)
     kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
-    groups = {}
-    for i, p in enumerate(probes):
-        groups.setdefault(float(p.E0), []).append(i)
     out = np.zeros(len(kels))
-    for E0, rows in groups.items():
-        open_ = omega < E0
-        root = np.sqrt(1.0 - omega[open_] / E0)
+    stop = 0
+    for E0, run in itertools.groupby(probes, key=lambda p: float(p.E0)):
+        start, stop = stop, stop + len(list(run))
+        channels = channels_at(E0)
+        root = channels.root
         if not root.size:
             continue
         step = max(1, CHUNK_TERMS // root.size)
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            kel = kels[block][:, None]
-            out[block] = np.sum(summand(open_, root, kel * root, kel, E0), axis=1)
+        for lo in range(start, stop, step):
+            block = slice(lo, min(lo + step, stop))
+            kel = kels[block, None]
+            out[block] = summand(channels.open, root, kel * root, kel, E0).sum(axis=1)
     out[is_reciprocal(kels)] = 0.0
     return out
 
