@@ -7,18 +7,20 @@ The condensate fraction is found self-consistently from
 after which the quasiparticle dispersion omega_q feeds the analytic
 inelastic cross section (one-quasiparticle channel) and the two-
 quasiparticle diagnostic term, both summed over open channels by
-model.open_channel_sum; a one-probe function is the one-element list of
-its curve.  A state keeps one entry, the open modes of the last probe
-energy it was asked for (BogoliubovState.channels): their mask, roots,
-quasimomenta and mode weights, four arrays of at most L - 1 numbers.  It is
-replaced when another energy is asked for and holds no cross section.
-Non-finite parameters are refused.
+model.open_channel_sum(probes, channels_at, summand), which hands
+summand(channels, kappa, kel) the entry of each probe energy; a one-probe
+function is the one-element list of its curve.  A state keeps one entry,
+the open modes of the last probe energy it was asked for
+(BogoliubovState.channels): their roots, quasimomenta and mode weights,
+three arrays of at most L - 1 numbers.  It is replaced when another energy
+is asked for and holds no cross section.  Non-finite parameters are
+refused.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -206,8 +208,8 @@ def bog_inelastic_curve(state: BogoliubovState, probes, V0: float) -> np.ndarray
     """bog_inelastic_cs at every probe, in one open-channel sum."""
     L = state.lattice.L
 
-    def summand(open_, root, kq, kel, E0):
-        grid, weight = state.channels(E0).rows
+    def summand(channels, kq, kel):
+        grid, weight = channels.rows
         terms = lattice_sum_sq(kq - grid, L)
         terms *= weight
         w2 = form_factor(kq, V0)
@@ -252,8 +254,10 @@ def two_qp_contribution(state: BogoliubovState, probe: ProbeSpec, V0: float) -> 
     same = np.eye(L - 1, dtype=bool)
     f = pair_coupling(eps[:, None], eps[None, :], state.Un0, same).ravel()
 
-    def summand(open_, root, kpair, kel, E0):
-        sig2 = lattice_sum_sq(kpair - qsum[open_], L)
-        return root * f[open_] * sig2 * form_factor(kpair, V0) ** 2
+    def summand(channels, kpair, kel):
+        pairs, coupling = channels.rows
+        sig2 = lattice_sum_sq(kpair - pairs, L)
+        return channels.root * coupling * sig2 * form_factor(kpair, V0) ** 2
 
-    return float(open_channel_sum([probe], osum, summand)[0]) / (2.0 * L**2)
+    pairs_at = partial(open_channels, osum, rows=(qsum, f))
+    return float(open_channel_sum([probe], pairs_at, summand)[0]) / (2.0 * L**2)

@@ -8,13 +8,14 @@ its full spectrum, and the many-body cross section assembled from the
 density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
 every energy difference.  Like every open-channel sum, the inelastic one
-goes through model.open_channel_sum, which takes the probes of a curve at
-once; non-finite parameters are refused.  A spectrum keeps one entry, the
-open channels of the last probe energy it was asked for
-(SpectrumResult.channels): their mask, roots and count, and their momenta
-and weights or their rows of the density table.  It is at most the size of
-those arrays, is replaced when another energy is asked for, and holds no
-cross section.
+goes through model.open_channel_sum(probes, spectrum.channels, summand),
+which takes the probes of a curve at once and hands summand(channels,
+kappa, kel) the entry of their energy; non-finite parameters are refused.
+A spectrum keeps one entry, the open channels of the last probe energy it
+was asked for (SpectrumResult.channels): their roots and count, and their
+momenta and weights or their rows of the density table.  It is at most the
+size of those arrays, is replaced when another energy is asked for, and
+holds no cross section.
 
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
 and hands its own storage to SciPy's eigensolver, which writes it during
@@ -813,8 +814,8 @@ def _channel_sums(spectrum, lattice, probes):
         out *= lattice_sum_sq(folded, lattice.L)
         return out
 
-    def summand(open_, root, kappa_e, kel, E0):
-        return terms(root, kappa_e, *spectrum.channels(E0).rows)
+    def summand(channels, kappa_e, kel):
+        return terms(channels.root, kappa_e, *channels.rows)
 
     g = spectrum.ground_index
     kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
@@ -832,13 +833,13 @@ def _table_sums(spectrum, lattice, probes):
         )
     x = np.arange(1, L + 1, dtype=float)
 
-    def summand(open_, root, kappa_e, kel, E0):
-        (rows,) = spectrum.channels(E0).rows
-        phases = np.exp(1j * (kappa_e[..., None] * x))
-        amps = np.abs(np.einsum("pej,ej->pe", phases, rows))
+    def summand(channels, kappa_e, kel):
+        (rows,) = channels.rows
+        phases = 1j * (kappa_e[..., None] * x)
+        amps = np.abs(np.einsum("pej,ej->pe", np.exp(phases, out=phases), rows))
         out = form_factor(kappa_e, lattice.V0)
         np.square(out, out=out)
-        out *= root
+        out *= channels.root
         out *= np.square(amps, out=amps)
         return out
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .model import (
     kappa_elastic,
     lattice_sum_sq,
     open_channel_sum,
+    open_channels,
 )
 
 # Above this probe energy the kinematic corrections to the large-L forms
@@ -297,19 +298,20 @@ def slope_curve(L: int, probes, V0: float = DEFAULT_V0, J: float = DEFAULT_J) ->
     state = _free_state(L, J)
     grid, eps = state.grid, state.eps
 
-    def summand(open_, weight, kq, kel, E0):
-        q, e = grid[open_], eps[open_]
+    def summand(channels, kq, kel):
+        q, e = channels.rows
         sig2 = lattice_sum_sq(kq - q, L)
         w2 = form_factor(kq, V0) ** 2
         G = sig2 * w2
         dG = lattice_sum_sq_derivative(kq - q, L) * w2 + sig2 * (
             -kq / (np.pi**2 * np.sqrt(V0))
         ) * w2
-        return (2.0 * E0 - e) / (e * weight) * G + kel * dG
+        return (2.0 * channels.E0 - e) / (e * channels.root) * G + kel * dG
 
     energies = np.array([p.E0 for p in probes], dtype=float)
     gammas = bog_inelastic_curve(state, probes, V0)
-    lambdas = J / (2.0 * L**2 * energies) * open_channel_sum(probes, eps, summand)
+    modes_at = partial(open_channels, eps, rows=(grid, eps))
+    lambdas = J / (2.0 * L**2 * energies) * open_channel_sum(probes, modes_at, summand)
     results = []
     for probe, lam, gamma in zip(probes, lambdas, gammas):
         kel = kappa_elastic(probe)

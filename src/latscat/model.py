@@ -1,11 +1,11 @@
 """Unit conventions, probe kinematics, lattice dispersion and form factors.
 
 Also the one open-channel kernel of every inelastic Born sum, exact or
-quasiparticle: open_channel_sum(probes, omega, summand) takes a list of
-probes, groups consecutive probes of one energy E0 and returns one sum per
-probe.  A spectrum or a condensate keeps one OpenChannels entry, the open
-channels of the last E0 it was asked for (last_channels), so a run of
-one-probe calls at one energy builds them once.
+quasiparticle: open_channel_sum(probes, channels_at, summand) asks
+channels_at(E0) once per run of consecutive probes of one energy, hands
+that OpenChannels entry to summand(channels, kappa, kel) and returns one
+sum per probe.  A spectrum or a condensate keeps the entry of the last E0
+it was asked for (last_channels), so one-probe calls build it once.
 
 Unit system: lattice constant d = 1, recoil energy E_r = 1, scattering
 length a_s = 1. Energies (J, U, E0, dispersions) are therefore pure
@@ -18,7 +18,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -217,16 +216,14 @@ CHUNK_TERMS = 1 << 14
 class OpenChannels:
     """The channels of one owner that a probe of energy E0 can excite.
 
-    ``open`` masks the owner's channel energies omega below E0, ``root`` is
-    sqrt(1 - omega/E0) at those channels, ``count`` is the number of the
-    owner's states below E0, and ``rows`` are the owner's per-channel
-    arrays at the open channels: views when every channel is open, copies
-    otherwise.  Every array is read-only.  An entry holds channel data
-    only, never a cross section.
+    ``root`` is sqrt(1 - omega/E0) at the owner's channel energies omega
+    below E0, ``count`` is the number of the owner's states below E0, and
+    ``rows`` are the owner's per-channel arrays at the open channels: views
+    when every channel is open, copies otherwise.  Every array is
+    read-only.  An entry holds channel data only, never a cross section.
     """
 
     E0: float
-    open: np.ndarray
     root: np.ndarray
     count: int
     rows: tuple = ()
@@ -245,9 +242,9 @@ def open_channels(omega, E0: float, rows=(), count=None) -> OpenChannels:
     else:
         root = np.sqrt(1.0 - omega[open_] / E0)
         rows = tuple(row[open_] for row in rows)
-    for array in (open_, root, *rows):
+    for array in (root, *rows):
         array.flags.writeable = False
-    return OpenChannels(E0, open_, root, root.size if count is None else count, rows)
+    return OpenChannels(E0, root, root.size if count is None else count, rows)
 
 
 def last_channels(owner, E0: float, build) -> OpenChannels:
@@ -258,8 +255,7 @@ def last_channels(owner, E0: float, build) -> OpenChannels:
     full and then published by one store: a thread reads the old entry or
     the new one, never half of one.  No lock is taken.  Threads at
     different energies only rebuild each other's entry, and each goes on
-    with the entry it got, so a caller that needs an entry's data twice in
-    one sum asks for it again at its own E0.
+    with the entry it got.
     """
     entry = owner.__dict__.get("_open_channels")
     if entry is None or entry.E0 != E0:
@@ -268,24 +264,22 @@ def last_channels(owner, E0: float, build) -> OpenChannels:
     return entry
 
 
-def open_channel_sum(probes, omega, summand) -> np.ndarray:
-    """Sum of summand(open, root, kappa, kel, E0) over the channels omega < E0, per probe.
+def open_channel_sum(probes, channels_at, summand) -> np.ndarray:
+    """Sum of summand(channels, kappa, kel) over the channels open at E0, per probe.
 
-    Returns one float64 per probe, in probe order.  ``omega`` is an array of
-    channel energies, or an owner's method that returns its OpenChannels
-    at an energy, so that the owner builds them once per E0.  Each run of
-    consecutive probes of one energy E0 is a group; ``open`` masks the
-    channels below E0 and root = sqrt(1 - omega/E0) is theirs.  The summand
-    sees a block of probes of one group: their elastic transfers ``kel`` as
-    a column and kappa = kel * root, the energy-rescaled transfers, with
-    one row per probe and one column per open channel.  It returns the
-    terms in that shape, and each row is summed on its own over the same
-    compacted channels, so a probe's sum is bit for bit the one it has
-    alone.  A probe's sum is exactly 0.0 when its kel sits on a reciprocal
-    lattice vector (theta = 0 included; its row is summed and then
-    overwritten) or no channel is open.
+    Returns one float64 per probe, in probe order.  channels_at(E0) returns
+    the OpenChannels at an energy: an owner's method, which builds them once
+    per E0, or open_channels over arrays.  It is asked once for each run of
+    consecutive probes of one energy, and the summand reads the root, rows
+    and E0 of the entry it got.  The summand sees a block of probes of one
+    run: their elastic transfers ``kel`` as a column and kappa = kel * root,
+    the energy-rescaled transfers, with one row per probe and one column
+    per open channel.  It returns the terms in that shape, and each row is
+    summed on its own over the same compacted channels, so a probe's sum is
+    bit for bit the one it has alone.  A probe's sum is exactly 0.0 when its
+    kel sits on a reciprocal lattice vector (theta = 0 included; its row is
+    summed and then overwritten) or no channel is open.
     """
-    channels_at = omega if callable(omega) else partial(open_channels, omega)
     kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
     out = np.zeros(len(kels))
     stop = 0
@@ -299,7 +293,7 @@ def open_channel_sum(probes, omega, summand) -> np.ndarray:
         for lo in range(start, stop, step):
             block = slice(lo, min(lo + step, stop))
             kel = kels[block, None]
-            out[block] = summand(channels.open, root, kel * root, kel, E0).sum(axis=1)
+            out[block] = summand(channels, kel * root, kel).sum(axis=1)
     out[is_reciprocal(kels)] = 0.0
     return out
 

@@ -51,7 +51,6 @@ from .limits import (
     elastic_cs,
     exact_angles,
     largeL_bog_cs,
-    largeL_sf_inelastic,
     mi_inelastic,
     relative_deviation,
     sf_inelastic_curve,
@@ -610,7 +609,7 @@ def _slope_row(s, provenance, i):
     if provenance == "linear":
         L, lam, gamma = lat.L, slope.lambda_, slope.gamma_sf
     else:
-        gamma = largeL_sf_inelastic(p.E0, p.theta, lat.V0, p.mass_ratio, lat.J)
+        gamma = s.curve("largeL")[i]
         L, lam = 0, slope.large_l_slope
     flagged = 4 * math.sin(kappa_elastic(p) / 2) ** 2 < SLOPE_FLAG_THRESHOLD
     return [p.theta, L, provenance, lam, gamma, flagged]

@@ -7,7 +7,9 @@ at three energies are interleaved on a dense spectrum, a sector spectrum, a
 condensate and the free condensate behind sf_inelastic.  One energy closes
 every channel, one opens only some, and one opens them all.  Each value
 must equal, with ``==``, the value of an owner that holds no entry yet and
-the value in the curve of all the probes.  The entry is shared by threads,
+the value in the curve of all the probes.  The kernel asks an owner once
+per run of probes of one energy, however the run is split into blocks, and
+hands each summand the entry it got.  The entry is shared by threads,
 so its arrays are read-only, and it is published by one store once it is
 built in full.  The Born kernels evaluate an array in place, in arrays of
 their own, and a scalar in numpy's scalar arithmetic.
@@ -16,12 +18,14 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from latscat import bogoliubov, exact, model
 from latscat.bogoliubov import bog_inelastic_cs, bog_inelastic_curve, solve_depletion
 from latscat.exact import diagonalize, exact_cross_section, exact_cross_sections, sector_spectrum
 from latscat.limits import _free_state, sf_inelastic, sf_inelastic_curve
@@ -133,9 +137,8 @@ class Stores(dict):
 
     def __setitem__(self, key, value):
         if isinstance(value, OpenChannels):
-            arrays_ = (value.open, value.root, *value.rows)
-            assert not any(a.flags.writeable for a in arrays_)
-            assert value.root.size == np.count_nonzero(value.open)
+            assert not any(a.flags.writeable for a in (value.root, *value.rows))
+            assert value.root.size <= value.count
             assert all(len(row) == value.root.size for row in value.rows)
             self.published.append(value.E0)
         super().__setitem__(key, value)
@@ -188,6 +191,53 @@ def test_an_entry_replaced_during_a_sum_leaves_the_sum_unchanged():
             assert entries(interfered)[0].E0 == other
 
 
+def test_the_kernel_asks_once_per_run_and_hands_each_summand_that_entry():
+    # with one probe per block, a summand that asked its owner itself would
+    # ask once per block instead of once per run of one energy
+    lattice = LatticeSpec(L=5, n=0.6, U=0.4 * J, J=J, V0=V0)
+    curves = (
+        (bogoliubov, solve_depletion(lattice), lambda o, ps: list(bog_inelastic_curve(o, ps, V0))),
+        (exact, sector_spectrum(lattice), lambda o, ps: exact_cross_sections(o, lattice, ps)),
+        (exact, diagonalize(lattice), lambda o, ps: exact_cross_sections(o, lattice, ps)),
+    )
+    for module, owner, curve in curves:
+        _, some, every = three_energies(owner)
+        energies = (every, every, some, some, some, every)
+        probes = [ProbeSpec(E0=E0, theta=t) for E0, t in zip(energies, np.linspace(-1.2, 1.3, 6))]
+        asked, values = {}, {}
+        for chunk in (model.CHUNK_TERMS, 1):
+            fresh = replace(owner)
+            real, owner_calls, returned, handed = fresh.channels, [], [], []
+
+            def counting(at, real=real, owner_calls=owner_calls):
+                owner_calls.append(at)
+                return real(at)
+
+            def watching(probes, channels_at, summand, returned=returned, handed=handed):
+                def asking(at):
+                    returned.append(channels_at(at))
+                    return returned[-1]
+
+                def seeing(channels, kappa, kel):
+                    assert channels is returned[-1]
+                    handed.append(channels.E0)
+                    return summand(channels, kappa, kel)
+
+                return model.open_channel_sum(probes, asking, seeing)
+
+            object.__setattr__(fresh, "channels", counting)
+            with mock.patch.object(model, "CHUNK_TERMS", chunk), mock.patch.object(
+                module, "open_channel_sum", watching
+            ):
+                values[chunk] = curve(fresh, probes)
+            asked[chunk] = len(owner_calls)
+            assert [c.E0 for c in returned] == [every, some, every]
+            blocks = energies if chunk == 1 else (every, some, every)
+            assert handed == list(blocks)
+        assert asked[1] == asked[model.CHUNK_TERMS]
+        assert values[1] == values[model.CHUNK_TERMS]
+
+
 def test_threads_sweeping_one_owner_get_the_serial_values():
     lattice = LatticeSpec(L=5, n=0.8, U=0.3 * J, J=J, V0=V0)
     spectrum, state = diagonalize(lattice), solve_depletion(lattice)
@@ -238,7 +288,7 @@ def test_threads_sweeping_one_owner_get_the_serial_values():
     for owner, recorder in zip((spectrum, state), stores):
         assert set(recorder.published) <= set(energies)
         (entry,) = entries(owner)
-        assert not any(a.flags.writeable for a in (entry.open, entry.root, *entry.rows))
+        assert not any(a.flags.writeable for a in (entry.root, *entry.rows))
 
 
 def reference_lattice_sum_sq(k, L):

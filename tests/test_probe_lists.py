@@ -1,13 +1,14 @@
 """The open-channel kernel takes probes in any order, energies interleaved.
 
-model.open_channel_sum groups a list of probes by energy itself.  Scans
-build their probes energy-major, so here the probes of 2-3 energies are
-shuffled before they reach the exact, bogoliubov and slope curves and the
-kernel itself.  Each value must equal the one-probe value with ``==``, and
-permuting the list must permute the result.  The chunk size is drawn too,
-so that a group is also split over several blocks.
+model.open_channel_sum groups runs of consecutive probes of one energy,
+and a probe's sum does not depend on the run it sits in.  Scans build their
+probes energy-major, so here the probes of 2-3 energies are shuffled before
+they reach the exact, bogoliubov and slope curves and the kernel itself.
+Each value must equal the one-probe value with ``==``, and permuting the
+list must permute the result.  The chunk size is drawn too, so that a run
+is also split over several blocks.
 """
-from functools import lru_cache
+from functools import lru_cache, partial
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from latscat import model
 from latscat.bogoliubov import bog_inelastic_cs, bog_inelastic_curve, solve_depletion
 from latscat.exact import diagonalize, exact_cross_section, exact_cross_sections
 from latscat.limits import slope_curve, slope_lambda
-from latscat.model import LatticeSpec, ProbeSpec, form_factor, open_channel_sum
+from latscat.model import LatticeSpec, ProbeSpec, form_factor, open_channel_sum, open_channels
 
 J = 0.0065
 V0 = 15.0
@@ -89,14 +90,16 @@ def test_shuffled_probes_give_the_one_probe_values(size, u, drawn, chunk):
 def test_kernel_hands_each_group_its_own_energy(drawn, chunk):
     probes, order = drawn
     omega = np.linspace(0.002, 0.05, 7)
+    channels_at = partial(open_channels, omega, rows=(omega,))
 
-    def summand(open_, root, kappa, kel, E0):
-        return (2.0 * E0 - omega[open_]) * root * form_factor(kappa, V0) ** 2 + kel
+    def summand(channels, kappa, kel):
+        (open_omega,) = channels.rows
+        return (2.0 * channels.E0 - open_omega) * channels.root * form_factor(kappa, V0) ** 2 + kel
 
     with mock.patch.object(model, "CHUNK_TERMS", chunk):
-        values = open_channel_sum(probes, omega, summand)
+        values = open_channel_sum(probes, channels_at, summand)
         assert values.dtype == np.float64 and values.shape == (len(probes),)
-        assert list(values) == [open_channel_sum([p], omega, summand)[0] for p in probes]
-        assert list(open_channel_sum(permuted(probes, order), omega, summand)) == permuted(
+        assert list(values) == [open_channel_sum([p], channels_at, summand)[0] for p in probes]
+        assert list(open_channel_sum(permuted(probes, order), channels_at, summand)) == permuted(
             list(values), order
         )

@@ -2,15 +2,16 @@
 
 scans.Site sums the exact, bogoliubov and sf-limit curves and the decay
 slopes over all of its probes at once, one open-channel sum per curve that
-groups the probes by energy itself, while exact_cross_section,
-bog_inelastic_cs, sf_inelastic and slope_lambda evaluate one probe.  Within an energy group every probe sums
-the same compacted open channels in the same order, so the two must agree
-with ``==``, not to a tolerance: the CSVs and the benchmark's U = 0
-identities depend on it.  The draws mix probe energies in one site (as the
-heatmap does), put some below the band top so that channels close, and
-reach theta = 0 and elastic transfers on +-2 pi.  The chunk size of the
-open-channel sum is drawn too, so that a group split over several blocks
-is checked against the same group in one.
+groups runs of consecutive probes of one energy, while
+exact_cross_section, bog_inelastic_cs, sf_inelastic and slope_lambda
+evaluate one probe.  Within a run every probe sums the same compacted open
+channels in the same order, so the two must agree with ``==``, not to a
+tolerance: the CSVs and the benchmark's U = 0 identities depend on it.
+The draws mix probe energies in one site (as the heatmap does), put some
+below the band top so that channels close, and reach theta = 0 and elastic
+transfers on +-2 pi.  The chunk size of the open-channel sum is drawn too,
+so that a run split over several blocks is checked against the same run in
+one.
 """
 from functools import lru_cache
 from unittest import mock
