@@ -25,6 +25,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import BadParameterError, ConvergenceError
+from .exact import MODE_BYTES, require_memory
 from .model import (
     RECIPROCAL_TOL,
     LatticeSpec,
@@ -138,9 +139,11 @@ def solve_depletion(lattice: LatticeSpec) -> BogoliubovState:
     The depleted filling is strictly increasing in n0, so the bracket
     (1e-15 n, n] always contains the root; U = 0 short-circuits to n0 = n,
     which reproduces n exactly.  The bisection result is verified to
-    reproduce n to 1e-12 relative.
+    reproduce n to 1e-12 relative.  A condensate of more modes than the
+    available memory holds, at MODE_BYTES a mode, is refused first.
     """
     L, n, U, J = lattice.L, lattice.n, lattice.U, lattice.J
+    require_memory(f"L={L}: a condensate of {L - 1} modes", MODE_BYTES * (L - 1))
     grid = quasimomentum_grid(L)
     eps = bloch_dispersion(grid, J)
 
@@ -244,9 +247,13 @@ def two_qp_contribution(state: BogoliubovState, probe: ProbeSpec, V0: float) -> 
     S_ex - S_1qp (exact minus one-quasiparticle structure factor) nor a
     bound on it: over K at (L, N) = (6, 6) and (8, 8), U/J = 0.03 to 1,
     that remainder (less Un/(N eps_K)) read -2.4 to 0.6 times its pair sum
-    of total momentum K.
+    of total momentum K.  More pairs than the available memory holds, at
+    MODE_BYTES a pair, are refused first.
     """
     L = state.lattice.L
+    require_memory(
+        f"L={L}: a two-quasiparticle sum of {(L - 1) ** 2} pairs", MODE_BYTES * (L - 1) ** 2
+    )
     grid, eps, omega = state.grid, state.eps, state.omega_table
 
     osum = (omega[:, None] + omega[None, :]).ravel()

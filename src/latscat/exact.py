@@ -8,9 +8,14 @@ its full spectrum, and the many-body cross section assembled from the
 density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
 every energy difference.  Like every open-channel sum, the inelastic one
-goes through model.open_channel_sum(probes, spectrum.channels, summand),
-which takes the probes of a curve at once and hands summand(channels,
-kappa, kel) the entry of their energy; non-finite parameters are refused.
+goes through model.open_channel_sum(probes, channels_at, summand), which
+takes the probes of a curve at once, asks channels_at (here
+spectrum.channels, noting each entry's count) for the entry of their
+energy and hands it to summand(channels, kappa, kel); non-finite
+parameters are refused.  Every allocation that grows with the input is
+charged to one memory gate, require_memory, before it is made; only a
+lattice far past memory is refused ahead of it, from a math.lgamma
+estimate of its dimension.
 A spectrum keeps one entry, the open channels of the last probe energy it
 was asked for (SpectrumResult.channels): their roots and count, and their
 momenta and weights or their rows of the density table.  It is at most the
@@ -82,10 +87,20 @@ BLOCK = 16
 SECTOR_MATRICES = 6
 BASIS_ARRAYS = 5
 
-# A run holds at least this many bytes a point of a counted angle or u
-# grid: the tracemalloc peak of scans.execute grows by 398 bytes an angle on
-# a bogoliubov theta-scan (L = 100), the least measured, 1540 a u on u-scan.
-GRID_POINT_BYTES = 400
+# A run holds at least this many bytes a (site, probe) pair of its grid, and
+# so a point of a counted angle or u grid.  The tracemalloc peak of
+# scans.execute, from 500 to 1000 angles, grows by 213 bytes a pair on
+# deviation-map (L = 5, n = 2, 8 u: 80 cells), the least measured, 262 on a
+# bogoliubov theta-scan (L = 100), 376 on heatmap (L = 100, 41 probes an
+# angle) and 1260 on u-scan (L = 5, n = 2, 7 u, default provenances).
+GRID_POINT_BYTES = 200
+
+# A condensate holds at least this many bytes a mode, and a two-quasiparticle
+# sum as many a pair.  The tracemalloc peak of scans.run at 3 angles, from
+# L = 2e4 to 8e4, grows by 37 bytes a mode on depletion and largeL, the
+# least measured, 73 on bogoliubov and sf-limit, 168 on slope and 185 on
+# u-scan with bogoliubov,linear; two_qp_contribution holds 66 bytes a pair.
+MODE_BYTES = 32
 
 # Ground-state gap below this fraction of the spectral range is treated
 # as a degeneracy (the cross section presumes a unique ground state).
@@ -217,8 +232,9 @@ def _refuse_past_memory(what: str, N: int, L: int, need) -> None:
     Every need is at least half the basis arrays (_basis_bytes; dense
     20 dim^2 >= 20 dim L, as dim >= L).  So a lattice whose arrays, at the
     dimension estimated from math.lgamma, take more than three times the
-    available memory is refused at once, with no exact binomial; otherwise
-    dim and L are small, and the need is counted exactly.
+    available memory is refused at once, with no exact binomial and no
+    orbit count; otherwise dim and L are small, and the need is counted
+    exactly and put to require_memory.
     """
     available = _available_bytes()
     if available is None:
@@ -231,12 +247,7 @@ def _refuse_past_memory(what: str, N: int, L: int, need) -> None:
             f"the {available} bytes of memory available"
         )
     dim = basis_dimension(N, L)
-    needed = need(dim)
-    if needed > available:
-        raise CapacityError(
-            f"{where} of dimension {dim} needs about {needed} bytes, "
-            f"but only {available} bytes of memory are available"
-        )
+    require_memory(f"{where} of dimension {dim}", need(dim))
 
 
 def require_capacity(N: int, L: int) -> None:
@@ -246,14 +257,21 @@ def require_capacity(N: int, L: int) -> None:
 
 
 def require_grid_capacity(count: int, what: str) -> int:
-    """count, or CapacityError when that many grid points would not fit in memory."""
-    available = _available_bytes()
-    if available is not None and count * GRID_POINT_BYTES > available:
-        raise CapacityError(
-            f"a {what} of {count} points needs about {count * GRID_POINT_BYTES} bytes, "
-            f"but only {available} bytes of memory are available"
-        )
+    """count, or CapacityError when that many grid points, (site, probe)
+    pairs at GRID_POINT_BYTES each, would not fit in memory."""
+    require_memory(f"a {what} of {count} points", count * GRID_POINT_BYTES)
     return count
+
+
+def require_memory(what: str, needed: int) -> None:
+    """The memory gate: CapacityError when ``what``, holding ``needed`` bytes
+    at once, would not fit in the available memory; no check where that
+    cannot be read.  The message gives both byte counts."""
+    available = _available_bytes()
+    if available is not None and needed > available:
+        raise CapacityError(
+            f"{what} needs about {needed} bytes, but only {available} bytes of memory are available"
+        )
 
 
 def _available_bytes() -> int | None:
@@ -452,14 +470,11 @@ def full_spectrum(H: np.ndarray) -> SpectrumResult:
             f"matrix must be real and solvable in place (writeable, C-contiguous float64), got "
             f"dtype {H.dtype}, writeable {H.flags.writeable}, C-contiguous {H.flags.c_contiguous}"
         )
-    available = _available_bytes()
     nonzeros = np.count_nonzero(H)
-    needed = 8 * dim * dim + 36 * nonzeros
-    if available is not None and needed > available:
-        raise CapacityError(
-            f"dense diagonalization of dimension {dim} with {nonzeros} nonzeros needs "
-            f"about {needed} bytes, but only {available} bytes of memory are available"
-        )
+    require_memory(
+        f"dense diagonalization of dimension {dim} with {nonzeros} nonzeros",
+        8 * dim * dim + 36 * nonzeros,
+    )
     import scipy.linalg
     import scipy.sparse
 
@@ -777,22 +792,31 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
     folded into (-pi, pi] so that |Sigma|^2 keeps its precision next to a
     Bragg peak.  The elastic term is the ground channel at kel with root 1.
     A dense spectrum sums its table of <e|n_j|g> against the lattice phases.
+    Each probe's count of states below E0 is read from the entry the sum
+    was handed for its energy.
     """
+    counts = {}
+
+    def channels_at(E0):
+        entry = spectrum.channels(E0)
+        counts[E0] = entry.count
+        return entry
+
     if spectrum.weights is not None:
-        inelastic, elastic = _channel_sums(spectrum, lattice, probes)
+        inelastic, elastic = _channel_sums(spectrum, lattice, probes, channels_at)
     elif spectrum.density_elements is not None:
-        inelastic, elastic = _table_sums(spectrum, lattice, probes)
+        inelastic, elastic = _table_sums(spectrum, lattice, probes, channels_at)
     else:
         raise BadParameterError("spectrum has neither channels nor density elements")
-    counts = {E0: spectrum.channels(E0).count for E0 in {p.E0 for p in probes}}
     return [
         ExactCrossSection(p.theta, float(el), float(inel), counts[p.E0])
         for p, el, inel in zip(probes, elastic, inelastic)
     ]
 
 
-def _channel_sums(spectrum, lattice, probes):
-    """Inelastic and elastic cross sections per probe from the channels.
+def _channel_sums(spectrum, lattice, probes, channels_at):
+    """Inelastic and elastic cross sections per probe from the channels at
+    each energy (channels_at).
 
     Only the channels that carry weight are summed: no excited K = 0 state does.
     """
@@ -820,11 +844,12 @@ def _channel_sums(spectrum, lattice, probes):
     g = spectrum.ground_index
     kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
     elastic = terms(1.0, kels, spectrum.momenta[g], spectrum.weights[g])
-    return open_channel_sum(probes, spectrum.channels, summand), elastic
+    return open_channel_sum(probes, channels_at, summand), elastic
 
 
-def _table_sums(spectrum, lattice, probes):
-    """Inelastic and elastic cross sections per probe from the density table."""
+def _table_sums(spectrum, lattice, probes, channels_at):
+    """Inelastic and elastic cross sections per probe from the density
+    table's rows at each energy (channels_at)."""
     table = spectrum.density_elements
     L = lattice.L
     if table.shape[1] != L:
@@ -843,7 +868,7 @@ def _table_sums(spectrum, lattice, probes):
         out *= np.square(amps, out=amps)
         return out
 
-    inelastic = open_channel_sum(probes, spectrum.channels, summand)
+    inelastic = open_channel_sum(probes, channels_at, summand)
     ground_row = table[spectrum.ground_index]
     elastic = []
     # the elastic term stays per probe: abs() of a complex scalar and

@@ -521,8 +521,9 @@ def _energy_angle_grid(config, kinds, manifest):
         )
         top = HEATMAP_E0_CAP * (1 - 1e-9)
     e0_grid = _grid(manifest, "E0_grid", np.linspace(HEATMAP_E0_FLOOR, top, HEATMAP_E0_POINTS))
-    probes = _probes(config, _grid(manifest, "theta_grid", config.thetas()), e0_grid)
-    return [Site(kinds, config.lattice(), probes)]
+    thetas = _grid(manifest, "theta_grid", config.thetas())
+    require_grid_capacity(HEATMAP_E0_POINTS * len(thetas), "heatmap grid")
+    return [Site(kinds, config.lattice(), _probes(config, thetas, e0_grid))]
 
 
 def _u_sites(config, kinds, manifest, probes):
@@ -713,7 +714,9 @@ def run(config: ScanConfig):
     """Run one command in memory; returns (ScanTable, RunManifest).
 
     The outer loop walks the command's sites, the inner loop each site's
-    probes, and each step yields a row per provenance of the site.
+    probes, and each step yields a row per provenance of the site.  A
+    layout whose (site, probe) pairs would not fit in memory, at
+    exact.GRID_POINT_BYTES a pair, is refused before any curve.
     """
     command = COMMANDS.get(config.command)
     if command is None:
@@ -732,6 +735,7 @@ def run(config: ScanConfig):
     manifest.parameters["provenance"] = list(kinds)
 
     sites = command.layout(config, kinds, manifest)
+    require_grid_capacity(sum(len(s.probes) for s in sites), f"{config.command} grid")
     # every exact curve reads a spectrum, and compare and deviation-map
     # measure every curve against the exact one
     reading = [

@@ -1,8 +1,11 @@
 """Depletion solver, quasiparticle dispersion and the analytic cross section."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from latscat import exact
 from latscat.bogoliubov import (
     BogoliubovState,
     bog_inelastic_cs,
@@ -13,7 +16,7 @@ from latscat.bogoliubov import (
     two_qp_contribution,
     validity_check,
 )
-from latscat.errors import BadParameterError
+from latscat.errors import BadParameterError, CapacityError
 from latscat.model import LatticeSpec, ProbeSpec, bloch_dispersion, quasimomentum_grid
 
 J = 0.0065
@@ -180,6 +183,29 @@ def test_two_qp_nonnegative_and_clamped():
     state = solve_depletion(spec_from_u(10, 2.0, 1.0))
     assert two_qp_contribution(state, ProbeSpec(E0=2.0, theta=0.7), 15.0) >= 0.0
     assert two_qp_contribution(state, ProbeSpec(E0=2.0, theta=0.0), 15.0) == 0.0
+
+
+def test_two_qp_refuses_pairs_past_memory_before_it_allocates(monkeypatch):
+    # 10^5 modes make about 10^10 pairs: 74.5 GiB for one array of them
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 8 * 2**30)
+    state = solve_depletion(spec_from_u(100_000, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"L=100000: .* 9999800001 pairs needs about"):
+            two_qp_contribution(state, ProbeSpec(E0=2.0, theta=0.7), 15.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_a_condensate_past_memory_is_refused_before_its_grid(monkeypatch):
+    # 4 modes at exact.MODE_BYTES each, one byte more than there is
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 4 * exact.MODE_BYTES - 1)
+    with pytest.raises(CapacityError, match=r"L=5: a condensate of 4 modes needs about 128 bytes"):
+        solve_depletion(spec_from_u(5, 1.0, 1.0))
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 4 * exact.MODE_BYTES)
+    assert solve_depletion(spec_from_u(5, 1.0, 1.0)).omega_table.size == 4
 
 
 def test_state_exposes_condensate_energy_scale():

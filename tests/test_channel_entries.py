@@ -342,3 +342,25 @@ def test_kernel_scalars_and_coherent_points():
     ints = np.arange(-3, 4)
     assert np.array_equal(lattice_sum_sq(ints, 5), reference_lattice_sum_sq(ints, 5))
     assert np.array_equal(ints, np.arange(-3, 4))
+
+
+def test_an_exact_curve_builds_the_channels_of_each_energy_once():
+    # 15 probes in runs of three energies: one entry a run, and each probe's
+    # count of states below E0 is read from the entry of its energy
+    lattice = LatticeSpec(L=5, n=0.6, U=0.4 * J, J=J, V0=V0)
+    real = exact.SpectrumResult._open_states
+    for spectrum in (sector_spectrum(lattice), diagonalize(lattice)):
+        energies = three_energies(spectrum)
+        probes = [ProbeSpec(E0=E0, theta=t) for E0 in energies for t in np.linspace(-1.2, 1.3, 5)]
+        built = []
+
+        def spy(owner, E0, built=built):
+            built.append(E0)
+            return real(owner, E0)
+
+        with mock.patch.object(exact.SpectrumResult, "_open_states", spy):
+            curve = exact_cross_sections(replace(spectrum), lattice, probes)
+        assert built == list(energies)
+        counts = [replace(spectrum).channels(p.E0).count for p in probes]
+        assert [cs.contributing_states for cs in curve] == counts
+        assert curve == [exact_cross_section(replace(spectrum), lattice, p) for p in probes]

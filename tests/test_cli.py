@@ -409,6 +409,49 @@ def test_exit_3_for_a_counted_grid_past_memory(tmp_path, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["theta-scan", "--n", "1", "--theta-grid", "3"],
+        ["heatmap", "--n", "1", "--theta-grid", "3"],
+        ["slope", "--theta-grid", "3"],
+        ["depletion", "--n", "1", "--u-grid", "1"],
+        ["u-scan", "--provenance", "bogoliubov", "--n", "1", "--u-grid", "1"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_exit_3_for_a_chain_whose_modes_fit_nowhere(tmp_path, args):
+    # 10^12 sites: the condensate, or slope's marker angles, are refused
+    # before any array of L - 1 entries is allocated
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "latscat.cli", *args, "--L", "1000000000000",
+            "--out", str(tmp_path / "run.csv"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "latscat: capacity: L=1000000000000: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_mott_limit_of_a_chain_of_any_length_allocates_no_modes(tmp_path):
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "latscat.cli", "theta-scan", "--provenance", "mi-limit",
+            "--L", "1000000000000", "--n", "1", "--theta-grid", "3",
+            "--out", str(tmp_path / "run.csv"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_rows(tmp_path / "run.csv")) == 3
+
+
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
     # dimension C(5,3) = 10 in 4 orbits: the sector solve needs about
     # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes, one byte more than there

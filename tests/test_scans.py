@@ -446,6 +446,30 @@ def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
         run(cfg)
 
 
+@pytest.mark.parametrize(
+    "command, options, pairs",
+    [
+        # 41 probe energies at each of 30 angles
+        ("heatmap", dict(L_values=(5,), theta_grid=30), 41 * 30),
+        # 7 u at 10 angles, refused before any spectrum is solved
+        ("u-scan", dict(L_values=(5,), n=2.0, u_grid=tuple(range(7)), theta_grid=10), 7 * 10),
+        # 3 fillings of L = 3 (N = 1, 2, 3) at 8 U/J and 3 angles; every
+        # cell's sector solve, at most 1968 bytes, fits
+        ("deviation-map", dict(L_values=(3,), u_grid=tuple(range(1, 9)), theta_grid=3), 72),
+    ],
+)
+def test_a_grid_is_charged_by_its_site_probe_pairs(monkeypatch, command, options, pairs):
+    # the angles alone fit: 30 of them at exact.GRID_POINT_BYTES a point
+    available = 50 * exact.GRID_POINT_BYTES
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
+    needed = pairs * exact.GRID_POINT_BYTES
+    with pytest.raises(
+        CapacityError,
+        match=rf"^a {command} grid of {pairs} points needs about {needed} bytes, but only {available}",
+    ):
+        run(ScanConfig(command=command, **options))
+
+
 def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):
     # dimension 1001 in 201 orbits: about 4.1 MB in sectors, 20 MB dense
     available = 10 * 2**20
