@@ -43,6 +43,10 @@ from .model import (
 
 DEPLETION_RESIDUAL_TOL = 1e-12
 
+# two_qp_contribution holds this many bytes a pair of modes: its tracemalloc
+# peak grows by 66 bytes a pair from L = 300 to 1200.
+TWO_QP_PAIR_BYTES = 72
+
 
 @dataclass(frozen=True)
 class BogoliubovState:
@@ -248,11 +252,12 @@ def two_qp_contribution(state: BogoliubovState, probe: ProbeSpec, V0: float) -> 
     bound on it: over K at (L, N) = (6, 6) and (8, 8), U/J = 0.03 to 1,
     that remainder (less Un/(N eps_K)) read -2.4 to 0.6 times its pair sum
     of total momentum K.  More pairs than the available memory holds, at
-    MODE_BYTES a pair, are refused first.
+    TWO_QP_PAIR_BYTES a pair, are refused first.
     """
     L = state.lattice.L
     require_memory(
-        f"L={L}: a two-quasiparticle sum of {(L - 1) ** 2} pairs", MODE_BYTES * (L - 1) ** 2
+        f"L={L}: a two-quasiparticle sum of {(L - 1) ** 2} pairs",
+        TWO_QP_PAIR_BYTES * (L - 1) ** 2,
     )
     grid, eps, omega = state.grid, state.eps, state.omega_table
 

@@ -24,10 +24,10 @@ holds no cross section.
 
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
 and hands its own storage to SciPy's eigensolver, which writes it during
-the call; full_spectrum restores it bit for bit afterwards, so one matrix
-must not be shared by threads that solve it at the same time.  Its checks
-read H's nonzeros once, before the solve, at about 12 bytes each.  This
-path is the oracle, and its result carries the dim x L table of <e|n_j|g>.
+the call; full_spectrum restores it afterwards from the sparse copy it
+takes for its checks, about 12 bytes a nonzero, so one matrix must not be
+shared by threads that solve it at the same time.  This path is the
+oracle, and its result carries the dim x L table of <e|n_j|g>.
 ``sector_spectrum`` splits the chain into its lattice-momentum sectors
 K = 2 pi m / L, built straight from the representatives of the
 translation orbits (Sandvik, arXiv:1101.3281), so each block has about
@@ -74,9 +74,9 @@ from .model import (
 # 2.02 matrices at dims 1001, 1716 and 3003.
 DENSE_MATRICES = 2.5
 
-# The residual check and the restore of full_spectrum work in strips of this many
-# columns or rows, so their temporaries stay small beside the matrices:
-# each is dim x BLOCK, 0.4 MB at dim 3003.
+# The residual check works in strips of this many eigenvector columns, so
+# its temporaries stay small beside the matrices: each is dim x BLOCK,
+# 0.4 MB at dim 3003.
 BLOCK = 16
 
 # The sector solve holds about this many real matrices of its largest
@@ -88,18 +88,16 @@ SECTOR_MATRICES = 6
 BASIS_ARRAYS = 5
 
 # A run holds at least this many bytes a (site, probe) pair of its grid, and
-# so a point of a counted angle or u grid.  The tracemalloc peak of
-# scans.execute, from 500 to 1000 angles, grows by 213 bytes a pair on
-# deviation-map (L = 5, n = 2, 8 u: 80 cells), the least measured, 262 on a
-# bogoliubov theta-scan (L = 100), 376 on heatmap (L = 100, 41 probes an
-# angle) and 1260 on u-scan (L = 5, n = 2, 7 u, default provenances).
+# so a point of a counted angle or u grid: the least tracemalloc slope of
+# scans.execute, 213 bytes a pair on deviation-map.  A counted grid is
+# checked at it before any command lays out its sites; each command's own
+# figure, scans.Command.pair_bytes, is charged once it has.
 GRID_POINT_BYTES = 200
 
-# A condensate holds at least this many bytes a mode, and a two-quasiparticle
-# sum as many a pair.  The tracemalloc peak of scans.run at 3 angles, from
-# L = 2e4 to 8e4, grows by 37 bytes a mode on depletion and largeL, the
-# least measured, 73 on bogoliubov and sf-limit, 168 on slope and 185 on
-# u-scan with bogoliubov,linear; two_qp_contribution holds 66 bytes a pair.
+# A condensate holds at least this many bytes a mode.  The tracemalloc peak
+# of scans.run at 3 angles, from L = 2e4 to 8e4, grows by 37 bytes a mode on
+# depletion and largeL, the least measured, 73 on bogoliubov and sf-limit,
+# 168 on slope and 185 on u-scan with bogoliubov,linear.
 MODE_BYTES = 32
 
 # Ground-state gap below this fraction of the spectral range is treated
@@ -256,10 +254,11 @@ def require_capacity(N: int, L: int) -> None:
     _refuse_past_memory("sector diagonalization", N, L, lambda dim: sector_bytes(N, L))
 
 
-def require_grid_capacity(count: int, what: str) -> int:
+def require_grid_capacity(count: int, what: str, pair_bytes: int = GRID_POINT_BYTES) -> int:
     """count, or CapacityError when that many grid points, (site, probe)
-    pairs at GRID_POINT_BYTES each, would not fit in memory."""
-    require_memory(f"a {what} of {count} points", count * GRID_POINT_BYTES)
+    pairs at pair_bytes each (by default the least, GRID_POINT_BYTES), would
+    not fit in memory."""
+    require_memory(f"a {what} of {count} points", count * pair_bytes)
     return count
 
 
@@ -426,18 +425,6 @@ def _checked(w: np.ndarray, worst: float):
     return float(worst / norm), gap
 
 
-def _mirror_lower(H: np.ndarray) -> None:
-    """Overwrite the strict upper triangle of H with its strict lower one,
-    in strips of BLOCK rows."""
-    dim = H.shape[0]
-    for start in range(0, dim, BLOCK):
-        stop = min(start + BLOCK, dim)
-        H[start:stop, stop:] = H[stop:, start:stop].T
-        square = H[start:stop, start:stop]
-        upper = np.triu_indices(stop - start, 1)
-        square[upper] = square.T[upper]
-
-
 def full_spectrum(H: np.ndarray) -> SpectrumResult:
     """All eigenpairs of a dense real symmetric matrix, with sanity checks.
 
@@ -449,15 +436,15 @@ def full_spectrum(H: np.ndarray) -> SpectrumResult:
     the available memory.  Only then is SciPy imported, the only place that
     needs it, so a scan run, which solves in sectors, never loads it.
 
-    The sparse copy (about 12 bytes per nonzero) refuses a matrix that is
+    The sparse copy S (about 12 bytes per nonzero) refuses a matrix that is
     not finite and exactly symmetric, before the solve, and gives the
     residuals.  LAPACK gets H.T, a Fortran-ordered array with the same
     numbers as the copy SciPy would make, so the solve holds two dim x dim
-    matrices, H and the eigenvectors, instead of three.  The solver destroys
-    H's upper triangle and diagonal; they are rebuilt from the lower
-    triangle and a saved diagonal, so H is bit-identical afterwards even
-    when the solve raises, and one H must not be shared by threads that
-    call full_spectrum at the same time.
+    matrices, H and the eigenvectors, instead of three.  The solver
+    overwrites H; S.toarray(out=H) writes it back afterwards, even when the
+    solve raises, so H is equal to what it was (bit for bit, but that a
+    zero stored as -0.0 comes back as +0.0), and one H must not be shared
+    by threads that call full_spectrum at the same time.
 
     Verifies the per-pair residual ||Hv - lambda v|| <= 1e-8 ||H|| and that
     the ground state is unique (gap above 1e-10 of the spectral range).
@@ -481,12 +468,10 @@ def full_spectrum(H: np.ndarray) -> SpectrumResult:
     S = scipy.sparse.csr_array(H)
     if not np.isfinite(S.data).all() or (S != S.T).nnz:
         raise BadParameterError("matrix must be finite and exactly symmetric")
-    diagonal = H.diagonal().copy()
     try:
         w, V = scipy.linalg.eigh(H.T, overwrite_a=True, check_finite=False)
     finally:
-        _mirror_lower(H)
-        H[np.diag_indices(dim)] = diagonal
+        S.toarray(out=H)
     residual, gap = _checked(w, _worst_residual(S, V, w))
     return SpectrumResult(
         eigenvalues=w,
@@ -818,12 +803,21 @@ def _channel_sums(spectrum, lattice, probes, channels_at):
     """Inelastic and elastic cross sections per probe from the channels at
     each energy (channels_at).
 
-    Only the channels that carry weight are summed: no excited K = 0 state does.
+    Only the channels that carry weight are summed: no excited K = 0 state
+    does.  The spectrum must have the lattice's dimension and its ground
+    channel (ground_channel_fault): at a fixed filling N/L, which fixes the
+    ground weight (N/L)^2, the dimension grows with L, so the two fix (N, L).
     """
-    dim = basis_dimension(lattice.N, lattice.L)
+    N, L, g = lattice.N, lattice.L, spectrum.ground_index
+    dim = basis_dimension(N, L)
     if spectrum.weights.size != dim:
         raise BadParameterError(
             f"spectrum has {spectrum.weights.size} channels, the lattice's basis has {dim} states"
+        )
+    fault = ground_channel_fault(float(spectrum.momenta[g]), float(spectrum.weights[g]), N, L)
+    if fault:
+        raise BadParameterError(
+            f"a spectrum of {dim} states is not one of the lattice N={N}, L={L}: {fault}"
         )
 
     def terms(root, kappa, momentum, weight):
@@ -849,12 +843,23 @@ def _channel_sums(spectrum, lattice, probes, channels_at):
 
 def _table_sums(spectrum, lattice, probes, channels_at):
     """Inelastic and elastic cross sections per probe from the density
-    table's rows at each energy (channels_at)."""
+    table's rows at each energy (channels_at).
+
+    The table must have the lattice's sites, and its ground row must sum to
+    the lattice's N to density_elements' 1e-10 max(1, N).
+    """
     table = spectrum.density_elements
-    L = lattice.L
+    N, L = lattice.N, lattice.L
     if table.shape[1] != L:
         raise BadParameterError(
             f"spectrum was computed for {table.shape[1]} sites, lattice has {L}"
+        )
+    ground_row = table[spectrum.ground_index]
+    particles = math.fsum(ground_row.tolist())
+    if not abs(particles - N) <= 1e-10 * max(1.0, float(N)):
+        raise BadParameterError(
+            f"a spectrum of {particles:.10g} particles on {L} sites is not one of the "
+            f"lattice N={N}, L={L}"
         )
     x = np.arange(1, L + 1, dtype=float)
 
@@ -869,7 +874,6 @@ def _table_sums(spectrum, lattice, probes, channels_at):
         return out
 
     inelastic = open_channel_sum(probes, channels_at, summand)
-    ground_row = table[spectrum.ground_index]
     elastic = []
     # the elastic term stays per probe: abs() of a complex scalar and
     # np.abs of an array round differently, and the values must not move

@@ -522,7 +522,8 @@ def _energy_angle_grid(config, kinds, manifest):
         top = HEATMAP_E0_CAP * (1 - 1e-9)
     e0_grid = _grid(manifest, "E0_grid", np.linspace(HEATMAP_E0_FLOOR, top, HEATMAP_E0_POINTS))
     thetas = _grid(manifest, "theta_grid", config.thetas())
-    require_grid_capacity(HEATMAP_E0_POINTS * len(thetas), "heatmap grid")
+    pairs = HEATMAP_E0_POINTS * len(thetas)
+    require_grid_capacity(pairs, "heatmap grid", COMMANDS[config.command].pair_bytes)
     return [Site(kinds, config.lattice(), _probes(config, thetas, e0_grid))]
 
 
@@ -551,11 +552,12 @@ def _filling_cells(config, kinds, manifest):
     """deviation-map: one lattice per (n, U/J) cell, n stepped up to the filling.
 
     Each step is laid out at its realized filling N/L, once per N, so both
-    theories of a cell read one filling.  The steps go one at a time: every
-    cell whose spectrum is not in the cache must pass exact.require_capacity
-    before the next step is laid out, so a filling past this machine's
-    memory is refused at its first cell that would not fit, however many
-    steps it asks for.
+    theories of a cell read one filling; a step that realizes no particle
+    is skipped, and a map none of whose steps realizes one is refused.  The
+    steps go one at a time: every cell whose spectrum is not in the cache
+    must pass exact.require_capacity before the next step is laid out, so a
+    filling past this machine's memory is refused at its first cell that
+    would not fit, however many steps it asks for.
     """
     step = DEVIATION_FILLING_STEP
     steps = int(config.n / step + 1e-9)
@@ -571,6 +573,8 @@ def _filling_cells(config, kinds, manifest):
     n_grid = manifest.parameters["n_grid"] = []
     sites = []
     for k in range(1, steps + 1):
+        if LatticeSpec(L=config.L, n=step * k).N < 1:
+            continue
         n = config.lattice(n=step * k).n
         if n_grid and n == n_grid[-1]:
             continue
@@ -580,6 +584,10 @@ def _filling_cells(config, kinds, manifest):
                 require_capacity(lattice.N, lattice.L)
             sites.append(Site(kinds, lattice, probes, (n, u_over_j)))
         n_grid.append(n)
+    if not n_grid:
+        raise BadParameterError(
+            f"no filling step of {step} up to n={config.n} realizes a particle on L={config.L}"
+        )
     return sites
 
 
@@ -641,6 +649,8 @@ class Command:
     A table that leads with theta groups its rows by angle across sites.
     Only a table with an L column takes several L.  A run whose only site
     has no label, the configured lattice, reports that site in the manifest.
+    `pair_bytes` is what a run holds per (site, probe) pair, the charge of
+    its grid at the memory gate.
     """
 
     help: str
@@ -648,9 +658,19 @@ class Command:
     columns: tuple
     layout: Callable
     row: Callable
+    pair_bytes: int
     default: tuple | None = None  # None: every allowed provenance
 
 
+# Each pair_bytes is the largest tracemalloc slope of execute measured with
+# every provenance the command allows, over grids of 250 to 8000 angles, plus
+# a quarter for other configurations and Python versions (3.10's objects take
+# about 56 bytes more a probe), rounded up to 100 bytes: theta-scan 2424 a
+# pair (L = 5, n = 1, U/J = 1), compare 987 (the same lattice), u-scan 1373
+# (L = 5, n = 1 and 2, 3 and 7 u), heatmap 424 (L = 5 and 100),
+# deviation-map 243 (L = 3 and 5, n = 1, 2 u) and slope 1003 (L = 5 alone,
+# whose one site also carries the large-L reference).  depletion lays out no
+# probes.
 COMMANDS = {
     "theta-scan": Command(
         "angle sweep of elastic/inelastic cross sections",
@@ -658,6 +678,7 @@ COMMANDS = {
         ("theta", "provenance", "elastic", "inelastic"),
         _one_lattice,
         lambda s, p, i: [s.probes[i].theta, p, s.elastic(p)[i], s.curve(p)[i]],
+        pair_bytes=3100,
         default=("bogoliubov",),
     ),
     "u-scan": Command(
@@ -668,6 +689,7 @@ COMMANDS = {
         lambda s, p, i: [
             *s.label, s.probes[i].theta, p, s.curve(p)[i], s.state.depletion_fraction
         ],
+        pair_bytes=1800,
     ),
     "heatmap": Command(
         "(E0, theta) map of the quasiparticle inelastic cross section",
@@ -675,6 +697,7 @@ COMMANDS = {
         ("E0", "theta", "provenance", "inelastic"),
         _energy_angle_grid,
         lambda s, p, i: [s.probes[i].E0, s.probes[i].theta, p, s.curve(p)[i]],
+        pair_bytes=600,
     ),
     "depletion": Command(
         "condensate depletion vs interaction with the quadratic law",
@@ -685,6 +708,7 @@ COMMANDS = {
             *s.label, p, s.state.depletion_fraction,
             depletion_quadratic(s.lattice), s.state.healing_ok,
         ],
+        pair_bytes=0,
     ),
     "deviation-map": Command(
         "(n, U/J) map of the angle-averaged exact-vs-quasiparticle deviation",
@@ -692,6 +716,7 @@ COMMANDS = {
         ("n", "U_over_J", "provenance", "delta_cs", "depletion"),
         _filling_cells,
         lambda s, p, i: [*s.label, p, s.deviation[1], s.state.depletion_fraction],
+        pair_bytes=400,
     ),
     "slope": Command(
         "linear decay slope Lambda(theta) per L with the large-L reference",
@@ -699,6 +724,7 @@ COMMANDS = {
         ("theta", "L", "provenance", "lambda", "gamma_sf", "flagged"),
         _lattice_sizes,
         _slope_row,
+        pair_bytes=1300,
     ),
     "compare": Command(
         "exact vs quasiparticle curves with per-angle deviation",
@@ -706,6 +732,7 @@ COMMANDS = {
         ("theta", "provenance", "elastic", "inelastic", "deviation"),
         _one_lattice,
         _compare_row,
+        pair_bytes=1300,
     ),
 }
 
@@ -715,8 +742,8 @@ def run(config: ScanConfig):
 
     The outer loop walks the command's sites, the inner loop each site's
     probes, and each step yields a row per provenance of the site.  A
-    layout whose (site, probe) pairs would not fit in memory, at
-    exact.GRID_POINT_BYTES a pair, is refused before any curve.
+    layout whose (site, probe) pairs would not fit in memory, at the
+    command's pair_bytes a pair, is refused before any curve.
     """
     command = COMMANDS.get(config.command)
     if command is None:
@@ -735,7 +762,8 @@ def run(config: ScanConfig):
     manifest.parameters["provenance"] = list(kinds)
 
     sites = command.layout(config, kinds, manifest)
-    require_grid_capacity(sum(len(s.probes) for s in sites), f"{config.command} grid")
+    pairs = sum(len(s.probes) for s in sites)
+    require_grid_capacity(pairs, f"{config.command} grid", command.pair_bytes)
     # every exact curve reads a spectrum, and compare and deviation-map
     # measure every curve against the exact one
     reading = [

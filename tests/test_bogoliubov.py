@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from latscat import exact
+from latscat import bogoliubov, exact
 from latscat.bogoliubov import (
     BogoliubovState,
     bog_inelastic_cs,
@@ -197,6 +197,31 @@ def test_two_qp_refuses_pairs_past_memory_before_it_allocates(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_two_qp_is_charged_its_own_bytes_a_pair(monkeypatch):
+    # 16 pairs on L = 5: between the condensate's charge a mode and its own
+    state = solve_depletion(spec_from_u(5, 1.0, 1.0))
+    needed = 16 * bogoliubov.TWO_QP_PAIR_BYTES
+    monkeypatch.setattr(exact, "_available_bytes", lambda: (16 * exact.MODE_BYTES + needed) // 2)
+    with pytest.raises(CapacityError, match=rf"L=5: .* 16 pairs needs about {needed} bytes"):
+        two_qp_contribution(state, ProbeSpec(E0=2.0, theta=0.7), 15.0)
+
+
+def test_two_qp_holds_at_most_its_charge_a_pair(monkeypatch):
+    monkeypatch.setattr(exact, "_available_bytes", lambda: 2**33)
+    peaks, pairs = [], []
+    for L in (200, 400):
+        state = solve_depletion(spec_from_u(L, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            two_qp_contribution(state, ProbeSpec(E0=2.0, theta=0.7), 15.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        pairs.append((L - 1) ** 2)
+    slope = (peaks[1] - peaks[0]) / (pairs[1] - pairs[0])
+    assert 0 < slope <= bogoliubov.TWO_QP_PAIR_BYTES, slope
 
 
 def test_a_condensate_past_memory_is_refused_before_its_grid(monkeypatch):

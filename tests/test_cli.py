@@ -9,7 +9,7 @@ import pytest
 
 from latscat.cli import build_parser, main, read_config_file, resolve_config
 from latscat.errors import BadParameterError
-from latscat.scans import ScanConfig
+from latscat.scans import COMMANDS, ScanConfig
 
 
 def run_cli(tmp_path, *args):
@@ -453,18 +453,19 @@ def test_the_mott_limit_of_a_chain_of_any_length_allocates_no_modes(tmp_path):
 
 
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
-    # dimension C(5,3) = 10 in 4 orbits: the sector solve needs about
-    # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes, one byte more than there
-    # is; the 3 angles, at exact.GRID_POINT_BYTES each, fit
-    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1967)
+    # dimension C(9,5) = 126 in 26 orbits: the sector solve needs about
+    # 6 * 8 * 26^2 + 5 * 8 * 126 * 5 = 57648 bytes, one byte more than there
+    # is; the 3 angles, at theta-scan's charge a pair, fit
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 57647)
+    assert 3 * COMMANDS["theta-scan"].pair_bytes < 57647
     code, out, _ = run_cli(
         tmp_path,
         "theta-scan",
-        "--L", "3", "--N", "3", "--provenance", "exact", "--theta-grid", "3",
+        "--L", "5", "--N", "5", "--provenance", "exact", "--theta-grid", "3",
     )
     assert code == 3
     err = capsys.readouterr().err
-    assert "capacity" in err and "1968 bytes" in err and "1967 bytes" in err
+    assert "capacity" in err and "57648 bytes" in err and "57647 bytes" in err
     assert not out.exists()
 
 
@@ -535,6 +536,16 @@ def test_exit_2_heatmap_E0_at_or_below_grid_floor(tmp_path, capsys, E0):
     assert not out.exists()
 
 
+def test_deviation_map_skips_the_steps_that_realize_no_particle(tmp_path):
+    # on L = 2 the first step, n = 0.2, realizes N = 0; n = 0.5 and 1 remain
+    code, out, manifest = run_cli(
+        tmp_path, "deviation-map", "--L", "2", "--n", "1", "--u-grid", "1", "--theta-grid", "3"
+    )
+    assert code == 0
+    assert [(row["n"], row["U_over_J"]) for row in read_rows(out)] == [("0.5", "1"), ("1", "1")]
+    assert manifest["parameters"]["n_grid"] == [0.5, 1.0]
+
+
 def test_exit_2_deviation_map_filling_below_first_step(tmp_path, capsys):
     code, out, _ = run_cli(
         tmp_path, "deviation-map", "--L", "4", "--n", "0.1", "--u-grid", "1"
@@ -547,10 +558,11 @@ def test_exit_2_deviation_map_filling_below_first_step(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, L, n",
     [("u-scan", "2", "0.2"), ("u-scan", "4", "0.125"), ("depletion", "2", "0.2"),
-     ("theta-scan", "2", "0.2")],
+     ("theta-scan", "2", "0.2"), ("deviation-map", "2", "0.2"), ("deviation-map", "2", "0.3")],
 )
 def test_exit_2_filling_that_realizes_no_particle(tmp_path, capsys, command, L, n):
-    # round(n*L) = 0 particles: refused by name, not a ZeroDivisionError
+    # round(n*L) = 0 particles, or no deviation-map step of 0.2 that realizes
+    # one: refused by name, not a ZeroDivisionError
     code, out, _ = run_cli(tmp_path, command, "--L", L, "--n", n, "--u-grid", "1")
     assert code == 2
     err = capsys.readouterr().err

@@ -33,6 +33,7 @@ from latscat.exact import (
     enumerate_basis,
     exact_cross_section,
     full_spectrum,
+    sector_spectrum,
 )
 from latscat.model import LatticeSpec, ProbeSpec, form_factor, kappa_elastic
 
@@ -248,6 +249,14 @@ def test_full_spectrum_solves_in_H_and_leaves_it_bit_identical(eigh_inputs):
     assert np.array_equal(result.eigenvalues, w) and np.array_equal(result.eigenvectors, V)
 
 
+def test_full_spectrum_leaves_the_bytes_of_H_at_dimension_1001():
+    H = build_hamiltonian(enumerate_basis(10, 5), J=J, U=0.9 * J)
+    assert H.shape == (1001, 1001)
+    before = H.tobytes()
+    full_spectrum(H)
+    assert H.tobytes() == before
+
+
 def test_full_spectrum_restores_H_when_the_solve_raises(monkeypatch):
     # the fake spoils what LAPACK may destroy, its input's lower triangle with
     # the diagonal (H's upper triangle), and fails
@@ -257,7 +266,7 @@ def test_full_spectrum_restores_H_when_the_solve_raises(monkeypatch):
         raise np.linalg.LinAlgError("the solve failed")
 
     monkeypatch.setattr(scipy.linalg, "eigh", spoil)
-    H = build_hamiltonian(enumerate_basis(3, 5), J=J, U=J)  # dimension 35: several strips
+    H = build_hamiltonian(enumerate_basis(3, 5), J=J, U=J)  # dimension 35
     before = H.copy()
     with pytest.raises(np.linalg.LinAlgError, match="the solve failed"):
         full_spectrum(H)
@@ -564,3 +573,18 @@ def test_cross_section_rejects_mismatched_lattice():
     spec5 = LatticeSpec(L=5, n=1.0, U=J, J=J)
     with pytest.raises(BadParameterError):
         exact_cross_section(result, spec5, ProbeSpec(E0=2.0, theta=0.3))
+
+
+@pytest.mark.parametrize("solve, N, L, match", [
+    # (L, N) = (3, 3) and (4, 2) both have dimension 10
+    (sector_spectrum, 2, 4, r"a spectrum of 10 states is not one of the lattice N=2, L=4: "
+     r"ground-state weight is .*, expected \(N/L\)\^2 = 0\.25"),
+    (diagonalize, 2, 3, r"a spectrum of 3 particles on 3 sites is not one of the lattice N=2, L=3"),
+    (sector_spectrum, 2, 3, r"spectrum has 10 channels, the lattice's basis has 6 states"),
+    (diagonalize, 3, 4, r"spectrum was computed for 3 sites, lattice has 4"),
+], ids=["sector-same-dimension", "dense-other-N", "sector-other-dimension", "dense-other-L"])
+def test_a_spectrum_of_another_lattice_is_refused(solve, N, L, match):
+    spectrum = solve(LatticeSpec(L=3, n=1.0, U=J, J=J))
+    lattice = LatticeSpec(L=L, n=N / L, U=J, J=J)
+    with pytest.raises(BadParameterError, match=match):
+        exact_cross_section(spectrum, lattice, ProbeSpec(E0=2.0, theta=0.7))

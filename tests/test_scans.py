@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -462,12 +463,84 @@ def test_a_grid_is_charged_by_its_site_probe_pairs(monkeypatch, command, options
     # the angles alone fit: 30 of them at exact.GRID_POINT_BYTES a point
     available = 50 * exact.GRID_POINT_BYTES
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
-    needed = pairs * exact.GRID_POINT_BYTES
+    needed = pairs * COMMANDS[command].pair_bytes
     with pytest.raises(
         CapacityError,
         match=rf"^a {command} grid of {pairs} points needs about {needed} bytes, but only {available}",
     ):
         run(ScanConfig(command=command, **options))
+
+
+# small runs of every command that lays out probes: each cell's sector solve
+# (at most 1968 bytes on L = 3) and condensate fit under either charge
+SMALL_RUNS = {
+    "theta-scan": dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES),
+    "compare": dict(L_values=(3,), n=1.0, U_over_J=1.0),
+    "u-scan": dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0)),
+    "heatmap": dict(L_values=(3,), n=1.0, U_over_J=1.0),
+    "deviation-map": dict(L_values=(3,), n=1.0, u_grid=(1.0,)),
+    "slope": dict(L_values=(3, 5)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_a_grid_that_fits_the_least_charge_but_not_its_commands_is_refused(monkeypatch, command):
+    config = ScanConfig(command=command, theta_grid=10, **SMALL_RUNS[command])
+    probes = {"heatmap": scans.HEATMAP_E0_POINTS}.get(command, 1) * 10
+    sites = {"u-scan": 2, "deviation-map": 3, "slope": 2}.get(command, 1)
+    pairs = sites * probes
+    needed = pairs * COMMANDS[command].pair_bytes
+    available = (pairs * exact.GRID_POINT_BYTES + needed) // 2
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
+    with pytest.raises(
+        CapacityError,
+        match=rf"^a {command} grid of {pairs} points needs about {needed} bytes, but only {available}",
+    ):
+        run(config)
+
+
+# larger runs, with every provenance each command allows, past the growth of
+# the exact curve's blocks of probes
+SLOPE_RUNS = {
+    "theta-scan": (
+        (1000, 2000), dict(L_values=(5,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)
+    ),
+    "compare": ((1000, 2000), dict(L_values=(5,), n=1.0, U_over_J=1.0)),
+    "u-scan": ((250, 500), dict(L_values=(5,), n=1.0, u_grid=(0.1, 1.0, 10.0))),
+    "heatmap": ((50, 100), dict(L_values=(5,), n=1.0, U_over_J=1.0)),
+    "deviation-map": ((1000, 2000), dict(L_values=(3,), n=1.0, u_grid=(1.0, 2.0))),
+    "slope": ((1000, 2000), dict(L_values=(5,))),
+}
+
+
+def test_every_command_that_lays_out_probes_has_its_charge_measured():
+    assert set(SLOPE_RUNS) == set(SMALL_RUNS) == set(COMMANDS) - {"depletion"}
+    config = ScanConfig(command="depletion", u_grid=(1.0, 2.0))
+    sites = COMMANDS["depletion"].layout(config, ("bogoliubov",), RunManifest("depletion", {}))
+    assert len(sites) == 2 and not any(s.probes for s in sites)
+
+
+@pytest.mark.parametrize("command", sorted(SLOPE_RUNS))
+def test_a_command_is_charged_at_least_what_each_pair_holds(monkeypatch, tmp_path, command):
+    # the gate reads a fixed memory, so the run is the same on every machine
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**33)
+    sizes, options = SLOPE_RUNS[command]
+    spec, peaks, pairs = COMMANDS[command], [], []
+    for angles in sizes:
+        config = ScanConfig(
+            command=command, theta_grid=angles, out=str(tmp_path / "run.csv"), **options
+        )
+        kinds = config.provenance or spec.default or spec.allowed
+        sites = spec.layout(config, kinds, RunManifest(command, {}))
+        pairs.append(sum(len(s.probes) for s in sites))
+        tracemalloc.start()
+        try:
+            execute(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1] - peaks[0]) / (pairs[1] - pairs[0])
+    assert 0 < slope <= spec.pair_bytes, (slope, spec.pair_bytes)
 
 
 def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):
