@@ -7,15 +7,17 @@ Builds the fixed-N Fock basis and the Hamiltonian
 its full spectrum, and the many-body cross section assembled from the
 density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
-every energy difference.  Like every open-channel sum, the inelastic one
-goes through model.open_channel_sum(probes, channels_at, summand), which
-takes the probes of a curve at once, asks channels_at (here
-spectrum.channels, noting each entry's count) for the entry of their
-energy and hands it to summand(channels, kappa, kel); non-finite
-parameters are refused.  Every allocation that grows with the input is
-charged to one memory gate, require_memory, before it is made; only a
-lattice far past memory is refused ahead of it, from a math.lgamma
-estimate of its dimension.
+every energy difference.  The elastic term is the closed form every
+provenance shares (model.elastic_curve): the ground state's
+<g|n_j|g> = N/L, which both solvers check, makes it exact.  Like every
+open-channel sum, the inelastic one goes through
+model.open_channel_sum(probes, channels_at, summand), which takes the
+probes of a curve at once, asks channels_at (here spectrum.channels,
+noting each entry's count) for the entry of their energy and hands it to
+summand(channels, kappa, kel); non-finite parameters are refused.  Every
+allocation that grows with the input is charged to one memory gate,
+require_memory, before it is made; only a lattice far past memory is
+refused ahead of it, from a math.lgamma estimate of its dimension.
 A spectrum keeps one entry, the open channels of the last probe energy it
 was asked for (SpectrumResult.channels): their roots and count, and their
 momenta and weights or their rows of the density table.  It is at most the
@@ -57,8 +59,8 @@ from .model import (
     LatticeSpec,
     OpenChannels,
     ProbeSpec,
+    elastic_curve,
     form_factor,
-    kappa_elastic,
     last_channels,
     lattice_sum_sq,
     open_channel_sum,
@@ -642,13 +644,12 @@ def sector_spectrum(lattice: LatticeSpec) -> SpectrumResult:
             ground = C[:, 0].copy()  # every orbit has a K = 0 state
             hopping = 2 * np.dot(ground[into], amplitude * ground[source])  # <g|H_hop|g>
         overlap = ground[members] * transform[members, m]  # <r,K|n_0|g>
-        if copies == 1:
-            overlap = overlap.real
-        else:  # in the parity basis; real, since P C fixes n_0|g> too
-            overlap = sum(
-                np.bincount(slot[:, a], (np.conj(coef[:, a]) * overlap).real, members.size)
-                for a in range(2)
-            )
+        # in the block's basis, one column an orbit at K = 0 and pi; real,
+        # since P C fixes n_0|g> too
+        overlap = sum(
+            np.bincount(slot[:, a], (np.conj(coef[:, a]) * overlap).real, members.size)
+            for a in range(copies)
+        )
         weight = (C.T @ overlap) ** 2
         if m == 0:
             weight[1:] = 0.0  # sum_j n_j |g> = N |g>: no excited K = 0 state has weight
@@ -690,8 +691,10 @@ def ground_channel_fault(momentum, weight, N: int, L: int) -> str | None:
     ground state, or None.
 
     The translation-invariant ground state has K = 0 and <g|n_0|g> = N/L,
-    so its weight must be (N/L)^2 to 1e-10 max(1, N).
+    so its weight must be (N/L)^2 to 1e-10 max(1, N).  Both are read as
+    Python floats, numpy scalars included.
     """
+    momentum, weight = float(momentum), float(weight)
     if momentum != 0:
         return f"ground state has momentum {momentum!r}, expected 0"
     if not abs(weight - (N / L) ** 2) <= 1e-10 * max(1.0, float(N)):
@@ -759,10 +762,12 @@ def exact_cross_section(
     """Many-body cross section from the full spectrum, diagonal orbital terms.
 
     elastic   = |W(k_el)|^2 |sum_j e^{i k_el x_j} <g|n_j|g>|^2
+              = (N/L)^2 |Sigma(k_el)|^2 |W(k_el)|^2
     inelastic = sum over states with dE < E0 of
                 sqrt(1 - dE/E0) |W(k_e)|^2 |sum_j e^{i k_e x_j} <e|n_j|g>|^2
 
-    with k_e the energy-rescaled momentum transfer.  When k_el sits on a
+    with k_e the energy-rescaled momentum transfer; the two forms of the
+    elastic term are equal because <g|n_j|g> = N/L.  When k_el sits on a
     reciprocal lattice vector (theta = 0 included) the lattice phases
     interfere destructively and the inelastic part is exactly zero.
     """
@@ -775,10 +780,11 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
     A sector spectrum sums its channels: a state of momentum K and weight
     |c|^2 adds root |W(kappa)|^2 |c|^2 |Sigma(kappa + K)|^2, with kappa + K
     folded into (-pi, pi] so that |Sigma|^2 keeps its precision next to a
-    Bragg peak.  The elastic term is the ground channel at kel with root 1.
-    A dense spectrum sums its table of <e|n_j|g> against the lattice phases.
-    Each probe's count of states below E0 is read from the entry the sum
-    was handed for its energy.
+    Bragg peak.  A dense spectrum sums its table of <e|n_j|g> against the
+    lattice phases.  Either is first checked to be a spectrum of the
+    lattice.  The elastic term is model.elastic_curve's, bit for bit.  Each
+    probe's count of states below E0 is read from the entry the sum was
+    handed for its energy.
     """
     counts = {}
 
@@ -788,11 +794,12 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
         return entry
 
     if spectrum.weights is not None:
-        inelastic, elastic = _channel_sums(spectrum, lattice, probes, channels_at)
+        inelastic = _channel_sums(spectrum, lattice, probes, channels_at)
     elif spectrum.density_elements is not None:
-        inelastic, elastic = _table_sums(spectrum, lattice, probes, channels_at)
+        inelastic = _table_sums(spectrum, lattice, probes, channels_at)
     else:
         raise BadParameterError("spectrum has neither channels nor density elements")
+    elastic = elastic_curve(lattice.L, lattice.N, probes, lattice.V0)
     return [
         ExactCrossSection(p.theta, float(el), float(inel), counts[p.E0])
         for p, el, inel in zip(probes, elastic, inelastic)
@@ -800,8 +807,8 @@ def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes)
 
 
 def _channel_sums(spectrum, lattice, probes, channels_at):
-    """Inelastic and elastic cross sections per probe from the channels at
-    each energy (channels_at).
+    """Inelastic cross section per probe from the channels at each energy
+    (channels_at).
 
     Only the channels that carry weight are summed: no excited K = 0 state
     does.  The spectrum must have the lattice's dimension and its ground
@@ -814,36 +821,31 @@ def _channel_sums(spectrum, lattice, probes, channels_at):
         raise BadParameterError(
             f"spectrum has {spectrum.weights.size} channels, the lattice's basis has {dim} states"
         )
-    fault = ground_channel_fault(float(spectrum.momenta[g]), float(spectrum.weights[g]), N, L)
+    fault = ground_channel_fault(spectrum.momenta[g], spectrum.weights[g], N, L)
     if fault:
         raise BadParameterError(
             f"a spectrum of {dim} states is not one of the lattice N={N}, L={L}: {fault}"
         )
 
-    def terms(root, kappa, momentum, weight):
+    def summand(channels, kappa, kel):
+        momentum, weight = channels.rows
         folded = kappa + momentum
         np.subtract(np.pi, folded, out=folded)
         np.mod(folded, 2 * np.pi, out=folded)
         np.subtract(np.pi, folded, out=folded)  # into (-pi, pi]
         out = form_factor(kappa, lattice.V0)
         np.square(out, out=out)
-        out *= root
+        out *= channels.root
         out *= weight
         out *= lattice_sum_sq(folded, lattice.L)
         return out
 
-    def summand(channels, kappa_e, kel):
-        return terms(channels.root, kappa_e, *channels.rows)
-
-    g = spectrum.ground_index
-    kels = np.array([kappa_elastic(p) for p in probes], dtype=float)
-    elastic = terms(1.0, kels, spectrum.momenta[g], spectrum.weights[g])
-    return open_channel_sum(probes, channels_at, summand), elastic
+    return open_channel_sum(probes, channels_at, summand)
 
 
 def _table_sums(spectrum, lattice, probes, channels_at):
-    """Inelastic and elastic cross sections per probe from the density
-    table's rows at each energy (channels_at).
+    """Inelastic cross section per probe from the density table's rows at
+    each energy (channels_at).
 
     The table must have the lattice's sites, and its ground row must sum to
     the lattice's N to density_elements' 1e-10 max(1, N).
@@ -854,8 +856,7 @@ def _table_sums(spectrum, lattice, probes, channels_at):
         raise BadParameterError(
             f"spectrum was computed for {table.shape[1]} sites, lattice has {L}"
         )
-    ground_row = table[spectrum.ground_index]
-    particles = math.fsum(ground_row.tolist())
+    particles = math.fsum(table[spectrum.ground_index].tolist())
     if not abs(particles - N) <= 1e-10 * max(1.0, float(N)):
         raise BadParameterError(
             f"a spectrum of {particles:.10g} particles on {L} sites is not one of the "
@@ -873,12 +874,4 @@ def _table_sums(spectrum, lattice, probes, channels_at):
         out *= np.square(amps, out=amps)
         return out
 
-    inelastic = open_channel_sum(probes, channels_at, summand)
-    elastic = []
-    # the elastic term stays per probe: abs() of a complex scalar and
-    # np.abs of an array round differently, and the values must not move
-    for probe in probes:
-        kel = kappa_elastic(probe)
-        amp_el = (np.exp(1j * kel * x) * ground_row).sum()
-        elastic.append(float(form_factor(kel, lattice.V0) ** 2 * abs(amp_el) ** 2))
-    return inelastic, elastic
+    return open_channel_sum(probes, channels_at, summand)

@@ -35,6 +35,7 @@ from .model import (
     ProbeSpec,
     bisect,
     bloch_dispersion,
+    elastic_curve,
     fold_to_zone,
     form_factor,
     is_reciprocal,
@@ -101,18 +102,9 @@ def elastic_cs(
     V0: float = DEFAULT_V0,
     mass_ratio: float = DEFAULT_MASS_RATIO,
 ) -> float:
-    """Elastic cross section (a_s^2), common to both limits.
-
-    N^2/L^2 |Sigma(kappa_el)|^2 |W(kappa_el)|^2: the coherent Bragg pattern.
-    The off-diagonal orbital corrections that would distinguish the two
-    limits are dropped (deep-lattice regime).
-    """
-    if not 0 < N < math.inf:
-        raise BadParameterError(f"particle number must be positive and finite, got N={N}")
-    kel = kappa_elastic(ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio))
-    return (
-        (N / L) ** 2 * float(lattice_sum_sq(kel, L)) * float(form_factor(kel, V0)) ** 2
-    )
+    """Elastic cross section (a_s^2) shared by every provenance: elastic_curve at one probe."""
+    probe = ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio)
+    return float(elastic_curve(L, N, [probe], V0)[0])
 
 
 def mi_inelastic(

@@ -48,7 +48,6 @@ from .exact import (
 )
 from .limits import (
     DEVIATION_FLOOR_FRACTION,
-    elastic_cs,
     exact_angles,
     largeL_bog_cs,
     mi_inelastic,
@@ -63,6 +62,7 @@ from .model import (
     DEFAULT_V0,
     LatticeSpec,
     ProbeSpec,
+    elastic_curve,
     kappa_elastic,
 )
 
@@ -413,12 +413,13 @@ class Site:
     state and each provenance's curve are computed once, and only when
     first asked for.  The exact, bogoliubov and sf-limit curves and the
     decay slopes are summed over all of the site's probes at once, one
-    open-channel sum per curve; the largeL and mi-limit curves and the
-    shared elastic cross section go probe by probe.  `exact`, the exact
-    cross sections at every probe, is set by `run` on each site that reads
-    a spectrum, from one batch of spectra for all of its sites.  The site
-    keeps no spectrum: only the exact cross sections outlive the call that
-    reads it.
+    open-channel sum per curve; the largeL and mi-limit curves go probe by
+    probe.  `elastic` serves every provenance, exact included: the closed
+    form model.elastic_curve, which the exact ground state meets exactly.
+    `exact`, the exact cross sections at every probe, is set by `run` on
+    each site that reads a spectrum, from one batch of spectra for all of
+    its sites.  The site keeps no spectrum: only the exact cross sections
+    outlive the call that reads it.
     """
 
     def __init__(self, kinds, lattice, probes, label=(), u=None):
@@ -448,21 +449,10 @@ class Site:
         return self._curves[provenance]
 
     @cached_property
-    def exact_elastic(self):
-        return [cs.elastic / self.lattice.N for cs in self.exact]
-
-    @cached_property
-    def shared_elastic(self):
+    def elastic(self):
+        """Elastic cross section per particle at every probe."""
         lat = self.lattice
-        return [
-            elastic_cs(lat.L, lat.N, p.E0, p.theta, lat.V0, p.mass_ratio) / lat.N
-            for p in self.probes
-        ]
-
-    def elastic(self, provenance):
-        """Elastic cross section per particle at every probe: the exact
-        provenance carries its own, every other one shares the closed form."""
-        return self.exact_elastic if provenance == "exact" else self.shared_elastic
+        return elastic_curve(lat.L, lat.N, self.probes, lat.V0) / lat.N
 
 
 # Every source of curves: name -> f(site, lattice), the site's inelastic
@@ -627,7 +617,7 @@ def _slope_row(s, provenance, i):
 def _compare_row(s, provenance, i):
     # the exact curve is the reference: its own deviation reads 0
     deviation = 0.0 if provenance == "exact" else s.deviation[0][i]
-    return [s.probes[i].theta, provenance, s.exact_elastic[i], s.curve(provenance)[i], deviation]
+    return [s.probes[i].theta, provenance, s.elastic[i], s.curve(provenance)[i], deviation]
 
 
 def _report(site, manifest):
@@ -677,7 +667,7 @@ COMMANDS = {
         PROVENANCES,
         ("theta", "provenance", "elastic", "inelastic"),
         _one_lattice,
-        lambda s, p, i: [s.probes[i].theta, p, s.elastic(p)[i], s.curve(p)[i]],
+        lambda s, p, i: [s.probes[i].theta, p, s.elastic[i], s.curve(p)[i]],
         pair_bytes=3100,
         default=("bogoliubov",),
     ),

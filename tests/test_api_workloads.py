@@ -37,13 +37,16 @@ def test_the_dense_chain_fills_the_density_table_in_place(lattice):
         spectrum.density_elements,
     )
     oracle = ls.diagonalize(lattice)
+    sectors = ls.sector_spectrum(lattice)
     assert np.array_equal(cached.eigenvalues, oracle.eigenvalues)
     for theta in THETAS:
         probe = ls.ProbeSpec(E0=E0, theta=theta)
         got = ls.exact_cross_section(cached, lattice, probe)
         want = ls.exact_cross_section(oracle, lattice, probe)
         assert (got.elastic, got.inelastic) == (want.elastic, want.inelastic)
-        assert got.elastic == pytest.approx(ls.elastic_cs(3, 3, E0, theta), rel=1e-8)
+        # one elastic cross section, the closed form, for dense and sector spectra
+        shared = ls.elastic_cs(3, 3, E0, theta)
+        assert got.elastic == ls.exact_cross_section(sectors, lattice, probe).elastic == shared
         assert 0 <= got.contributing_states <= basis.dim
     assert ls.exact_cross_section(cached, lattice, ls.ProbeSpec(E0=E0, theta=0.0)).inelastic == 0.0
 

@@ -218,6 +218,22 @@ def _momentum_off_the_grid(w, K, weight):
     K[9] += 0.1
 
 
+def test_a_wrong_ground_weight_warns_with_the_plain_number(tmp_path):
+    lattice = _small_lattice()  # N = L = 4: the ground weight (N/L)^2 is 1
+    path = cache_path(tmp_path, lattice)
+    save_spectrum(path, sector_spectrum(lattice), lattice)
+    head, body = path.read_bytes().split(b"\n", 1)
+    channels = np.frombuffer(body, dtype="<f8").reshape(-1, 3).copy()
+    channels[0, 2] = 0.9
+    path.write_bytes(head + b"\n" + channels.tobytes())
+    manifest = RunManifest(command="test", parameters={})
+    cache_spectra([lattice], tmp_path, manifest)
+    (warning,) = manifest.warnings
+    assert warning.endswith("ground-state weight is 0.9, expected (N/L)^2 = 1.0"), warning
+    fault = exact.ground_channel_fault(np.float64(np.pi), np.float64(1.0), 4, 4)
+    assert fault == f"ground state has momentum {np.pi!r}, expected 0"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -288,21 +304,20 @@ def test_theta_scan_covers_full_quadrant():
 
 
 def test_theta_scan_sf_and_mi_share_elastic_column():
-    # density-independent interference: the elastic curve is common to the
-    # condensate and insulator rows at equal filling
-    cfg = ScanConfig(
-        command="theta-scan",
-        L_values=(9,),
-        U_over_J=20.0,
-        theta_grid=21,
-        provenance=("sf-limit", "mi-limit"),
-    )
-    table, _ = run(cfg)
-    sf = [r for r in table.rows if r[1] == "sf-limit"]
-    mi = [r for r in table.rows if r[1] == "mi-limit"]
-    assert len(sf) == len(mi) == 21
-    for a, b in zip(sf, mi):
-        assert a[2] == b[2]  # identical, not merely close
+    # density-independent interference: the elastic curve is common to every
+    # provenance at equal filling, the exact one included, whose ground state
+    # has <g|n_j|g> = N/L; compare's two rows carry the same column
+    common = dict(L_values=(4,), n=1.0, U_over_J=20.0, theta_grid=21)
+    table, _ = run(ScanConfig(command="theta-scan", provenance=scans.PROVENANCES, **common))
+    columns = {p: [r[2] for r in table.rows if r[1] == p] for p in scans.PROVENANCES}
+    assert len(columns) == 6 and all(len(c) == 21 for c in columns.values())
+    elastic = columns["sf-limit"]
+    for column in columns.values():
+        assert column == elastic  # identical, not merely close
+    compared, _ = run(ScanConfig(command="compare", **common))
+    for provenance in ("exact", "bogoliubov"):
+        cells = [format_cell(r[2]) for r in compared.rows if r[1] == provenance]
+        assert cells == [format_cell(x) for x in elastic]
 
 
 def test_theta_scan_forward_inelastic_vanishes_for_all_provenances():

@@ -153,14 +153,19 @@ def test_sectors_equal_the_dense_oracle(size, u_over_j, probes):
     dense, sectors = diagonalize(lattice), sector_spectrum(lattice)
     norm = np.max(np.abs(dense.eigenvalues))
     assert np.max(np.abs(sectors.eigenvalues - dense.eigenvalues)) <= 1e-12 * norm
+    # the elastic term is the closed form for both; the oracle checks what it
+    # stands for, the ground channel's weight against the dense ground row
+    weight = sectors.weights[sectors.ground_index]
+    ground_row = dense.density_elements[dense.ground_index]
+    assert np.all(np.abs(ground_row**2 - weight) <= REL_TOL * weight), (ground_row, weight)
     floor = FLOOR * N**2
     for want, got in zip(
         exact_cross_sections(dense, lattice, probes), exact_cross_sections(sectors, lattice, probes)
     ):
         assert got.contributing_states == want.contributing_states
-        for side in ("elastic", "inelastic"):
-            a, b = getattr(want, side), getattr(got, side)
-            assert abs(a - b) <= REL_TOL * max(abs(a), abs(b)) + floor, (side, a, b)
+        assert got.elastic == want.elastic
+        a, b = want.inelastic, got.inelastic
+        assert abs(a - b) <= REL_TOL * max(abs(a), abs(b)) + floor, (a, b)
 
 
 def test_channel_cross_sections_refuse_another_lattice():
