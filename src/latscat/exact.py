@@ -7,13 +7,14 @@ Builds the fixed-N Fock basis and the Hamiltonian
 its full spectrum, and the many-body cross section assembled from the
 density matrix elements <e| n_j |g>.  The chemical-potential term is
 dropped: at fixed N it shifts all eigenvalues equally and cancels from
-every energy difference.  The elastic term is the closed form every
-provenance shares (model.elastic_curve): the ground state's
-<g|n_j|g> = N/L, which both solvers check, makes it exact.  Like every
-open-channel sum, the inelastic one goes through
-model.open_channel_sum(probes, channels_at, summand), which takes the
-probes of a curve at once, asks channels_at (here spectrum.channels,
-noting each entry's count) for the entry of their energy and hands it to
+every energy difference.  The inelastic curve, exact_inelastic_curve,
+is one float per probe; exact_cross_section is its one-probe record.
+The elastic term is the closed form every provenance shares
+(model.elastic_curve): the ground state's <g|n_j|g> = N/L, which both
+solvers check, makes it exact.  Like every open-channel sum, the
+inelastic one goes through model.open_channel_sum(probes, channels_at,
+summand), which takes the probes of a curve at once, asks channels_at
+(here spectrum.channels) for the entry of their energy and hands it to
 summand(channels, kappa, kel); non-finite parameters are refused.  Every
 allocation that grows with the input is charged to one memory gate,
 require_memory, before it is made; only a lattice far past memory is
@@ -767,48 +768,39 @@ def exact_cross_section(
                 sqrt(1 - dE/E0) |W(k_e)|^2 |sum_j e^{i k_e x_j} <e|n_j|g>|^2
 
     with k_e the energy-rescaled momentum transfer; the two forms of the
-    elastic term are equal because <g|n_j|g> = N/L.  When k_el sits on a
+    elastic term are equal because <g|n_j|g> = N/L.  The record reads the
+    inelastic term from exact_inelastic_curve, the elastic one from
+    model.elastic_curve, and the count of states below E0 from the
+    spectrum's channels at the probe's energy.  When k_el sits on a
     reciprocal lattice vector (theta = 0 included) the lattice phases
     interfere destructively and the inelastic part is exactly zero.
     """
-    return exact_cross_sections(spectrum, lattice, [probe])[0]
+    inelastic = exact_inelastic_curve(spectrum, lattice, [probe])[0]
+    elastic = elastic_curve(lattice.L, lattice.N, [probe], lattice.V0)[0]
+    count = spectrum.channels(probe.E0).count
+    return ExactCrossSection(probe.theta, float(elastic), float(inelastic), count)
 
 
-def exact_cross_sections(spectrum: SpectrumResult, lattice: LatticeSpec, probes) -> list:
-    """exact_cross_section at every probe, in one open-channel sum.
+def exact_inelastic_curve(spectrum: SpectrumResult, lattice: LatticeSpec, probes) -> np.ndarray:
+    """Inelastic cross section (a_s^2) at every probe, one float64 per probe,
+    in one open-channel sum over spectrum.channels.
 
     A sector spectrum sums its channels: a state of momentum K and weight
     |c|^2 adds root |W(kappa)|^2 |c|^2 |Sigma(kappa + K)|^2, with kappa + K
     folded into (-pi, pi] so that |Sigma|^2 keeps its precision next to a
     Bragg peak.  A dense spectrum sums its table of <e|n_j|g> against the
     lattice phases.  Either is first checked to be a spectrum of the
-    lattice.  The elastic term is model.elastic_curve's, bit for bit.  Each
-    probe's count of states below E0 is read from the entry the sum was
-    handed for its energy.
+    lattice.
     """
-    counts = {}
-
-    def channels_at(E0):
-        entry = spectrum.channels(E0)
-        counts[E0] = entry.count
-        return entry
-
     if spectrum.weights is not None:
-        inelastic = _channel_sums(spectrum, lattice, probes, channels_at)
-    elif spectrum.density_elements is not None:
-        inelastic = _table_sums(spectrum, lattice, probes, channels_at)
-    else:
-        raise BadParameterError("spectrum has neither channels nor density elements")
-    elastic = elastic_curve(lattice.L, lattice.N, probes, lattice.V0)
-    return [
-        ExactCrossSection(p.theta, float(el), float(inel), counts[p.E0])
-        for p, el, inel in zip(probes, elastic, inelastic)
-    ]
+        return _channel_sums(spectrum, lattice, probes)
+    if spectrum.density_elements is not None:
+        return _table_sums(spectrum, lattice, probes)
+    raise BadParameterError("spectrum has neither channels nor density elements")
 
 
-def _channel_sums(spectrum, lattice, probes, channels_at):
-    """Inelastic cross section per probe from the channels at each energy
-    (channels_at).
+def _channel_sums(spectrum, lattice, probes):
+    """Inelastic cross section per probe from the channels at each energy.
 
     Only the channels that carry weight are summed: no excited K = 0 state
     does.  The spectrum must have the lattice's dimension and its ground
@@ -840,12 +832,12 @@ def _channel_sums(spectrum, lattice, probes, channels_at):
         out *= lattice_sum_sq(folded, lattice.L)
         return out
 
-    return open_channel_sum(probes, channels_at, summand)
+    return open_channel_sum(probes, spectrum.channels, summand)
 
 
-def _table_sums(spectrum, lattice, probes, channels_at):
+def _table_sums(spectrum, lattice, probes):
     """Inelastic cross section per probe from the density table's rows at
-    each energy (channels_at).
+    each energy.
 
     The table must have the lattice's sites, and its ground row must sum to
     the lattice's N to density_elements' 1e-10 max(1, N).
@@ -874,4 +866,4 @@ def _table_sums(spectrum, lattice, probes, channels_at):
         out *= np.square(amps, out=amps)
         return out
 
-    return open_channel_sum(probes, channels_at, summand)
+    return open_channel_sum(probes, spectrum.channels, summand)

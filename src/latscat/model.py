@@ -165,8 +165,9 @@ def lattice_sum_sq(k, L: int):
     At the removable singularities k = 0 (mod 2*pi) the coherent value L^2
     is returned; the branch triggers for |sin(k/2)| < 1e-9.  An array is
     evaluated in place in two arrays of its own, and k is never written.  A
-    scalar takes numpy's scalar arithmetic instead, with the same
-    operations, and gives a float.
+    scalar takes numpy's scalar arithmetic instead, with the same ufuncs
+    (np.square, not **, which rounds otherwise on a numpy scalar), and
+    gives a float equal to the one-element array's.
     """
     if not isinstance(L, (int, np.integer)) or L < 2:
         raise BadParameterError(f"interference sum needs an integer L >= 2, got {L!r}")
@@ -175,7 +176,7 @@ def lattice_sum_sq(k, L: int):
         half_sin = np.sin(k / 2.0)
         if abs(half_sin) < RECIPROCAL_TOL:
             return float(L * L)
-        return float(np.sin(k * L / 2.0) ** 2 / half_sin**2)
+        return float(np.square(np.sin(k * L / 2.0)) / np.square(half_sin))
     denom = np.divide(k, 2.0)
     np.sin(denom, out=denom)
     out = np.abs(denom)

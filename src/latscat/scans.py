@@ -6,7 +6,9 @@ provenance's curve taken from the CURVES registry.  Before the loops, it
 gathers the lattices whose spectra its sites will read and fetches each
 distinct one once: it loads the cached ones, checks every miss against the
 memory refusal, and then solves the misses one by one in momentum sectors
-(exact.sector_spectrum).  The cache holds each spectrum's scattering
+(exact.sector_spectrum).  Each site that reads a spectrum holds the one
+fetched for it, and sums its exact curve from it only when asked
+(exact.exact_inelastic_curve).  The cache holds each spectrum's scattering
 channels: (energy, momentum K, weight) per eigenstate.  It returns a
 rectangular ScanTable with an explicit provenance column plus manifest
 metadata; the writers emit byte-deterministic CSV
@@ -40,7 +42,7 @@ from .errors import BadParameterError, CacheError
 from .exact import (
     SpectrumResult,
     basis_dimension,
-    exact_cross_sections,
+    exact_inelastic_curve,
     ground_channel_fault,
     require_capacity,
     require_grid_capacity,
@@ -416,17 +418,16 @@ class Site:
     open-channel sum per curve; the largeL and mi-limit curves go probe by
     probe.  `elastic` serves every provenance, exact included: the closed
     form model.elastic_curve, which the exact ground state meets exactly.
-    `exact`, the exact cross sections at every probe, is set by `run` on
-    each site that reads a spectrum, from one batch of spectra for all of
-    its sites.  The site keeps no spectrum: only the exact cross sections
-    outlive the call that reads it.
+    `spectrum` is the spectrum `run` fetched for the site, one batch for
+    all of its sites that read one, and the exact curve is summed from it
+    when first asked for, as the bogoliubov curve is from `state`.
     """
 
     def __init__(self, kinds, lattice, probes, label=(), u=None):
         self.kinds, self.lattice, self.probes, self.label = kinds, lattice, probes, label
         # interaction u = U n / J of the linear decay law
         self.u = lattice.u_dimensionless if u is None else u
-        self.exact = None  # set by run
+        self.spectrum = None  # set by run
         self._curves = {}
 
     @cached_property
@@ -458,7 +459,7 @@ class Site:
 # Every source of curves: name -> f(site, lattice), the site's inelastic
 # cross section per particle at each of its probes.
 CURVES = {
-    "exact": lambda s, lat: [cs.inelastic / lat.N for cs in s.exact],
+    "exact": lambda s, lat: exact_inelastic_curve(s.spectrum, lat, s.probes) / lat.N,
     "bogoliubov": lambda s, lat: bog_inelastic_curve(s.state, s.probes, lat.V0),
     "sf-limit": lambda s, lat: sf_inelastic_curve(lat.L, s.probes, lat.V0, lat.J),
     "mi-limit": lambda s, lat: [
@@ -762,7 +763,7 @@ def run(config: ScanConfig):
     ]
     spectra = cache_spectra([s.lattice for s in reading], config.cache_dir, manifest)
     for site, spectrum in zip(reading, spectra):
-        site.exact = exact_cross_sections(spectrum, site.lattice, site.probes)
+        site.spectrum = spectrum
     per_angle = "theta" in command.columns
     steps = [(s, i) for s in sites for i in (range(len(s.probes)) if per_angle else (None,))]
     if command.columns[0] == "theta":

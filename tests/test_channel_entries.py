@@ -27,7 +27,12 @@ from hypothesis.extra.numpy import arrays
 
 from latscat import bogoliubov, exact, model
 from latscat.bogoliubov import bog_inelastic_cs, bog_inelastic_curve, solve_depletion
-from latscat.exact import diagonalize, exact_cross_section, exact_cross_sections, sector_spectrum
+from latscat.exact import (
+    diagonalize,
+    exact_cross_section,
+    exact_inelastic_curve,
+    sector_spectrum,
+)
 from latscat.limits import _free_state, sf_inelastic, sf_inelastic_curve
 from latscat.model import (
     RECIPROCAL_TOL,
@@ -65,8 +70,13 @@ def exact_owner(spectrum, lattice):
     return (
         lambda p: exact_cross_section(spectrum, lattice, p),
         lambda p: exact_cross_section(replace(spectrum), lattice, p),
-        lambda ps: exact_cross_sections(replace(spectrum), lattice, ps),
+        lambda ps: list(exact_inelastic_curve(replace(spectrum), lattice, ps)),
     )
+
+
+def inelastic(value):
+    """The inelastic term of an exact record; a quasiparticle value is its own."""
+    return getattr(value, "inelastic", value)
 
 
 def bogoliubov_owner(state):
@@ -124,7 +134,7 @@ def test_interleaved_one_probe_calls_give_the_fresh_and_curve_values(size, u, dr
             assert values[-1] == fresh(p), name
             held = entries(owner)
             assert len(held) == 1 and held[0].E0 == p.E0, name
-        assert values == curve(probes), name
+        assert [inelastic(v) for v in values] == curve(probes), name
         assert len(entries(owner)) <= 1, name
 
 
@@ -195,10 +205,11 @@ def test_the_kernel_asks_once_per_run_and_hands_each_summand_that_entry():
     # with one probe per block, a summand that asked its owner itself would
     # ask once per block instead of once per run of one energy
     lattice = LatticeSpec(L=5, n=0.6, U=0.4 * J, J=J, V0=V0)
+    exact_curve = lambda o, ps: list(exact_inelastic_curve(o, lattice, ps))  # noqa: E731
     curves = (
         (bogoliubov, solve_depletion(lattice), lambda o, ps: list(bog_inelastic_curve(o, ps, V0))),
-        (exact, sector_spectrum(lattice), lambda o, ps: exact_cross_sections(o, lattice, ps)),
-        (exact, diagonalize(lattice), lambda o, ps: exact_cross_sections(o, lattice, ps)),
+        (exact, sector_spectrum(lattice), exact_curve),
+        (exact, diagonalize(lattice), exact_curve),
     )
     for module, owner, curve in curves:
         _, some, every = three_energies(owner)
@@ -292,12 +303,13 @@ def test_threads_sweeping_one_owner_get_the_serial_values():
 
 
 def reference_lattice_sum_sq(k, L):
-    """lattice_sum_sq as it was written before it worked in place."""
+    """lattice_sum_sq as it was written before it worked in place, squaring
+    with np.square: ** is np.square on an array, but not on a numpy scalar."""
     k = np.asarray(k, dtype=float)
     half_sin = np.sin(k / 2.0)
     singular = np.abs(half_sin) < RECIPROCAL_TOL
-    denom = np.where(singular, 1.0, half_sin**2)
-    out = np.where(singular, float(L * L), np.sin(k * L / 2.0) ** 2 / denom)
+    denom = np.where(singular, 1.0, np.square(half_sin))
+    out = np.where(singular, float(L * L), np.square(np.sin(k * L / 2.0)) / denom)
     return out if out.ndim else float(out)
 
 
@@ -344,9 +356,35 @@ def test_kernel_scalars_and_coherent_points():
     assert np.array_equal(ints, np.arange(-3, 4))
 
 
+@st.composite
+def near_reciprocal(draw):
+    """2 pi m, or a few ulps or about RECIPROCAL_TOL of |sin(k/2)| off it."""
+    k = 2 * np.pi * draw(st.integers(-6, 6))
+    k += draw(st.sampled_from([0.0, 1e-12, -1e-12, 1.9e-9, -1.9e-9, 2.1e-9, -2.1e-9]))
+    for _ in range(draw(st.integers(0, 3))):
+        k = np.nextafter(k, draw(st.sampled_from([np.inf, -np.inf])))
+    return float(k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    ks=st.lists(near_reciprocal(), max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(2, 200),
+    V0=st.floats(0.5, 60.0),
+)
+def test_a_scalar_kernel_value_is_the_one_element_arrays(ks, seed, L, V0):
+    # the scalar branches use the array branches' ufuncs: on a numpy
+    # scalar, x**2 and np.square(x) differ in about 1 of 700 uniform draws
+    uniform = np.random.default_rng(seed).uniform(-40.0, 40.0, 200)
+    for k in ks + uniform.tolist():
+        assert lattice_sum_sq(k, L) == lattice_sum_sq(np.array([k]), L)[0], (k, L)
+        assert form_factor(k, V0) == form_factor(np.array([k]), V0)[0], (k, V0)
+
+
 def test_an_exact_curve_builds_the_channels_of_each_energy_once():
-    # 15 probes in runs of three energies: one entry a run, and each probe's
-    # count of states below E0 is read from the entry of its energy
+    # 15 probes in runs of three energies: one entry a run; a one-probe
+    # record builds one entry and reads its count of states below E0 there
     lattice = LatticeSpec(L=5, n=0.6, U=0.4 * J, J=J, V0=V0)
     real = exact.SpectrumResult._open_states
     for spectrum in (sector_spectrum(lattice), diagonalize(lattice)):
@@ -359,8 +397,11 @@ def test_an_exact_curve_builds_the_channels_of_each_energy_once():
             return real(owner, E0)
 
         with mock.patch.object(exact.SpectrumResult, "_open_states", spy):
-            curve = exact_cross_sections(replace(spectrum), lattice, probes)
-        assert built == list(energies)
+            curve = exact_inelastic_curve(replace(spectrum), lattice, probes)
+            assert built == list(energies)
+            built.clear()
+            records = [exact_cross_section(replace(spectrum), lattice, p) for p in probes]
+            assert built == [p.E0 for p in probes]
         counts = [replace(spectrum).channels(p.E0).count for p in probes]
-        assert [cs.contributing_states for cs in curve] == counts
-        assert curve == [exact_cross_section(replace(spectrum), lattice, p) for p in probes]
+        assert [cs.contributing_states for cs in records] == counts
+        assert list(curve) == [cs.inelastic for cs in records]

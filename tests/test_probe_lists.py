@@ -3,7 +3,8 @@
 model.open_channel_sum groups runs of consecutive probes of one energy,
 and a probe's sum does not depend on the run it sits in.  Scans build their
 probes energy-major, so here the probes of 2-3 energies are shuffled before
-they reach the exact, bogoliubov and slope curves and the kernel itself.
+they reach the exact inelastic and elastic, bogoliubov and slope curves
+and the kernel itself.
 Each value must equal the one-probe value with ``==``, and permuting the
 list must permute the result.  The chunk size is drawn too, so that a run
 is also split over several blocks.
@@ -17,9 +18,16 @@ from hypothesis import strategies as st
 
 from latscat import model
 from latscat.bogoliubov import bog_inelastic_cs, bog_inelastic_curve, solve_depletion
-from latscat.exact import diagonalize, exact_cross_section, exact_cross_sections
+from latscat.exact import diagonalize, exact_cross_section, exact_inelastic_curve
 from latscat.limits import slope_curve, slope_lambda
-from latscat.model import LatticeSpec, ProbeSpec, form_factor, open_channel_sum, open_channels
+from latscat.model import (
+    LatticeSpec,
+    ProbeSpec,
+    elastic_curve,
+    form_factor,
+    open_channel_sum,
+    open_channels,
+)
 
 J = 0.0065
 V0 = 15.0
@@ -69,12 +77,14 @@ def test_shuffled_probes_give_the_one_probe_values(size, u, drawn, chunk):
     spectrum = spectrum_of(lattice)
     state = solve_depletion(lattice)
     curves = {
-        "exact": lambda ps: exact_cross_sections(spectrum, lattice, ps),
+        "exact": lambda ps: list(exact_inelastic_curve(spectrum, lattice, ps)),
+        "elastic": lambda ps: list(elastic_curve(L, N, ps, V0)),
         "bogoliubov": lambda ps: list(bog_inelastic_curve(state, ps, V0)),
         "slope": lambda ps: slope_curve(L, ps, V0, J),
     }
     single = {
-        "exact": lambda p: exact_cross_section(spectrum, lattice, p),
+        "exact": lambda p: exact_cross_section(spectrum, lattice, p).inelastic,
+        "elastic": lambda p: exact_cross_section(spectrum, lattice, p).elastic,
         "bogoliubov": lambda p: bog_inelastic_cs(state, p, V0),
         "slope": lambda p: slope_lambda(L, p.E0, p.theta, V0, p.mass_ratio, J),
     }

@@ -724,3 +724,29 @@ def test_a_manifest_records_only_the_grids_its_command_reads(command):
         assert sorted(set(table.column("theta"))) == params["theta_grid"]
     if "u_grid" in params:
         assert params["u_grid"] == [0.5, 2.0]
+
+
+@pytest.mark.parametrize(
+    "command, options, calls",
+    [
+        ("deviation-map", dict(u_grid=(1.0, 5.0)), 0),
+        ("u-scan", dict(u_grid=(0.5, 2.0), provenance=("exact",)), 0),
+        ("theta-scan", dict(provenance=("exact", "bogoliubov")), 1),
+        ("compare", {}, 1),
+    ],
+)
+def test_a_run_evaluates_only_the_elastic_terms_it_writes(monkeypatch, command, options, calls):
+    # only theta-scan and compare write an elastic column, one closed form a
+    # site; a site that reads a spectrum sums its inelastic curve alone
+    counted = []
+    real = scans.elastic_curve
+
+    def counting(*args):
+        counted.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("latscat.scans.elastic_curve", counting)
+    monkeypatch.setattr("latscat.exact.elastic_curve", counting)
+    table, _ = run(ScanConfig(command=command, L_values=(4,), n=1.0, theta_grid=5, **options))
+    assert table.rows
+    assert len(counted) == calls

@@ -28,7 +28,8 @@ from latscat.exact import (
     build_hamiltonian,
     diagonalize,
     enumerate_basis,
-    exact_cross_sections,
+    exact_cross_section,
+    exact_inelastic_curve,
     orbit_count,
     sector_spectrum,
 )
@@ -159,12 +160,12 @@ def test_sectors_equal_the_dense_oracle(size, u_over_j, probes):
     ground_row = dense.density_elements[dense.ground_index]
     assert np.all(np.abs(ground_row**2 - weight) <= REL_TOL * weight), (ground_row, weight)
     floor = FLOOR * N**2
-    for want, got in zip(
-        exact_cross_sections(dense, lattice, probes), exact_cross_sections(sectors, lattice, probes)
-    ):
+    curves = [exact_inelastic_curve(s, lattice, probes) for s in (dense, sectors)]
+    for p, a, b in zip(probes, *curves):
+        want, got = exact_cross_section(dense, lattice, p), exact_cross_section(sectors, lattice, p)
         assert got.contributing_states == want.contributing_states
         assert got.elastic == want.elastic
-        a, b = want.inelastic, got.inelastic
+        assert (want.inelastic, got.inelastic) == (a, b)
         assert abs(a - b) <= REL_TOL * max(abs(a), abs(b)) + floor, (a, b)
 
 
@@ -172,7 +173,7 @@ def test_channel_cross_sections_refuse_another_lattice():
     spectrum = sector_spectrum(LatticeSpec(L=4, n=1.0, U=J, J=J))
     for other in (LatticeSpec(L=8, n=0.5, U=J, J=J), LatticeSpec(L=5, n=0.8, U=J, J=J)):
         with pytest.raises(BadParameterError, match="35 channels"):
-            exact_cross_sections(spectrum, other, [ProbeSpec(E0=2.0, theta=0.3)])
+            exact_inelastic_curve(spectrum, other, [ProbeSpec(E0=2.0, theta=0.3)])
 
 
 def test_a_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):

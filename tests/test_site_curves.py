@@ -22,7 +22,12 @@ from hypothesis import strategies as st
 
 from latscat import model
 from latscat.bogoliubov import bog_inelastic_cs, solve_depletion
-from latscat.exact import basis_dimension, diagonalize, exact_cross_section, exact_cross_sections
+from latscat.exact import (
+    basis_dimension,
+    diagonalize,
+    exact_cross_section,
+    exact_inelastic_curve,
+)
 from latscat.limits import sf_inelastic, slope_lambda
 from latscat.model import LatticeSpec, ProbeSpec, kappa_elastic
 from latscat.scans import ScanConfig, Site, _probes
@@ -78,12 +83,17 @@ def test_site_exact_curve_is_the_per_probe_cross_section(
     e0s = e0s + [f * top for f in band_fractions]
     site = make_site(lattice, thetas, e0s, mass_ratio, ("exact",))
     with mock.patch.object(model, "CHUNK_TERMS", chunk):
-        site.exact = exact_cross_sections(spectrum, lattice, site.probes)  # as run sets it
+        site.spectrum = spectrum  # as run sets it
         curve = site.curve("exact")
-        sections = site.exact
+        inelastic = exact_inelastic_curve(spectrum, lattice, site.probes)
     expected = [exact_cross_section(spectrum, lattice, p) for p in site.probes]
-    assert sections == expected
+    assert list(inelastic) == [cs.inelastic for cs in expected]
     assert list(curve) == [cs.inelastic / N for cs in expected]
+    assert list(site.elastic) == [cs.elastic / N for cs in expected]
+    dE = np.delete(spectrum.eigenvalues - spectrum.ground_energy, spectrum.ground_index)
+    assert [cs.contributing_states for cs in expected] == [
+        np.count_nonzero(dE < p.E0) for p in site.probes
+    ]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
