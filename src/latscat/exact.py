@@ -90,12 +90,15 @@ BLOCK = 16
 SECTOR_MATRICES = 6
 BASIS_ARRAYS = 5
 
-# A run holds at least this many bytes a (site, probe) pair of its grid, and
-# so a point of a counted angle or u grid: the least tracemalloc slope of
-# scans.execute, 213 bytes a pair on deviation-map.  A counted grid is
-# checked at it before any command lays out its sites; each command's own
-# figure, scans.Command.pair_bytes, is charged once it has.
-GRID_POINT_BYTES = 200
+# A scan run holds at most this many bytes a point of its grid, a (site,
+# probe, provenance) triple: the largest tracemalloc slope of scans.execute
+# over every command, with its default and with every provenance it allows,
+# at most 490 bytes a point (86 on deviation-map), plus 56 for Python 3.10's
+# larger objects, plus a quarter, rounded up to 100 bytes.  Every grid is
+# charged at it: a counted angle or u grid, each of whose points is at least
+# one point of the run, before any layout, and the run's own points once
+# laid out.
+POINT_BYTES = 700
 
 # A condensate holds at least this many bytes a mode.  The tracemalloc peak
 # of scans.run at 3 angles, from L = 2e4 to 8e4, grows by 37 bytes a mode on
@@ -257,11 +260,10 @@ def require_capacity(N: int, L: int) -> None:
     _refuse_past_memory("sector diagonalization", N, L, lambda dim: sector_bytes(N, L))
 
 
-def require_grid_capacity(count: int, what: str, pair_bytes: int = GRID_POINT_BYTES) -> int:
-    """count, or CapacityError when that many grid points, (site, probe)
-    pairs at pair_bytes each (by default the least, GRID_POINT_BYTES), would
-    not fit in memory."""
-    require_memory(f"a {what} of {count} points", count * pair_bytes)
+def require_grid_capacity(count: int, what: str) -> int:
+    """count, or CapacityError when that many grid points, at POINT_BYTES
+    each, would not fit in memory."""
+    require_memory(f"a {what} of {count} points", count * POINT_BYTES)
     return count
 
 

@@ -342,21 +342,26 @@ def _make_dir(path) -> None:
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write data to path through a temporary file beside it, which never
+    outlives the call; a path that cannot be written is refused."""
     path = Path(path)
     _make_dir(path.parent)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     umask = os.umask(0)  # the only way to read the umask is to set it
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
         with os.fdopen(fd, "wb") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise BadParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def format_cell(value) -> str:
@@ -513,8 +518,7 @@ def _energy_angle_grid(config, kinds, manifest):
         top = HEATMAP_E0_CAP * (1 - 1e-9)
     e0_grid = _grid(manifest, "E0_grid", np.linspace(HEATMAP_E0_FLOOR, top, HEATMAP_E0_POINTS))
     thetas = _grid(manifest, "theta_grid", config.thetas())
-    pairs = HEATMAP_E0_POINTS * len(thetas)
-    require_grid_capacity(pairs, "heatmap grid", COMMANDS[config.command].pair_bytes)
+    require_grid_capacity(HEATMAP_E0_POINTS * len(thetas) * len(kinds), "heatmap grid")
     return [Site(kinds, config.lattice(), _probes(config, thetas, e0_grid))]
 
 
@@ -545,10 +549,12 @@ def _filling_cells(config, kinds, manifest):
     Each step is laid out at its realized filling N/L, once per N, so both
     theories of a cell read one filling; a step that realizes no particle
     is skipped, and a map none of whose steps realizes one is refused.  The
-    steps go one at a time: every cell whose spectrum is not in the cache
-    must pass exact.require_capacity before the next step is laid out, so a
-    filling past this machine's memory is refused at its first cell that
-    would not fit, however many steps it asks for.
+    steps go one at a time: the grid points of every cell so far and of the
+    step's own are charged before the step is laid out, and every cell
+    whose spectrum is not in the cache must pass exact.require_capacity
+    before the next step is, so a map past this machine's memory is refused
+    at its first step or cell that would not fit, however many steps it
+    asks for.
     """
     step = DEVIATION_FILLING_STEP
     steps = int(config.n / step + 1e-9)
@@ -569,6 +575,8 @@ def _filling_cells(config, kinds, manifest):
         n = config.lattice(n=step * k).n
         if n_grid and n == n_grid[-1]:
             continue
+        cells = len(sites) + len(u_grid)
+        require_grid_capacity(cells * len(probes) * len(kinds), "deviation-map grid")
         for u_over_j in u_grid:
             lattice = config.lattice(n=n, U=u_over_j * config.J)
             if config.cache_dir is None or not cache_path(config.cache_dir, lattice).exists():
@@ -640,8 +648,6 @@ class Command:
     A table that leads with theta groups its rows by angle across sites.
     Only a table with an L column takes several L.  A run whose only site
     has no label, the configured lattice, reports that site in the manifest.
-    `pair_bytes` is what a run holds per (site, probe) pair, the charge of
-    its grid at the memory gate.
     """
 
     help: str
@@ -649,19 +655,9 @@ class Command:
     columns: tuple
     layout: Callable
     row: Callable
-    pair_bytes: int
     default: tuple | None = None  # None: every allowed provenance
 
 
-# Each pair_bytes is the largest tracemalloc slope of execute measured with
-# every provenance the command allows, over grids of 250 to 8000 angles, plus
-# a quarter for other configurations and Python versions (3.10's objects take
-# about 56 bytes more a probe), rounded up to 100 bytes: theta-scan 2424 a
-# pair (L = 5, n = 1, U/J = 1), compare 987 (the same lattice), u-scan 1373
-# (L = 5, n = 1 and 2, 3 and 7 u), heatmap 424 (L = 5 and 100),
-# deviation-map 243 (L = 3 and 5, n = 1, 2 u) and slope 1003 (L = 5 alone,
-# whose one site also carries the large-L reference).  depletion lays out no
-# probes.
 COMMANDS = {
     "theta-scan": Command(
         "angle sweep of elastic/inelastic cross sections",
@@ -669,7 +665,6 @@ COMMANDS = {
         ("theta", "provenance", "elastic", "inelastic"),
         _one_lattice,
         lambda s, p, i: [s.probes[i].theta, p, s.elastic[i], s.curve(p)[i]],
-        pair_bytes=3100,
         default=("bogoliubov",),
     ),
     "u-scan": Command(
@@ -680,7 +675,6 @@ COMMANDS = {
         lambda s, p, i: [
             *s.label, s.probes[i].theta, p, s.curve(p)[i], s.state.depletion_fraction
         ],
-        pair_bytes=1800,
     ),
     "heatmap": Command(
         "(E0, theta) map of the quasiparticle inelastic cross section",
@@ -688,7 +682,6 @@ COMMANDS = {
         ("E0", "theta", "provenance", "inelastic"),
         _energy_angle_grid,
         lambda s, p, i: [s.probes[i].E0, s.probes[i].theta, p, s.curve(p)[i]],
-        pair_bytes=600,
     ),
     "depletion": Command(
         "condensate depletion vs interaction with the quadratic law",
@@ -699,7 +692,6 @@ COMMANDS = {
             *s.label, p, s.state.depletion_fraction,
             depletion_quadratic(s.lattice), s.state.healing_ok,
         ],
-        pair_bytes=0,
     ),
     "deviation-map": Command(
         "(n, U/J) map of the angle-averaged exact-vs-quasiparticle deviation",
@@ -707,7 +699,6 @@ COMMANDS = {
         ("n", "U_over_J", "provenance", "delta_cs", "depletion"),
         _filling_cells,
         lambda s, p, i: [*s.label, p, s.deviation[1], s.state.depletion_fraction],
-        pair_bytes=400,
     ),
     "slope": Command(
         "linear decay slope Lambda(theta) per L with the large-L reference",
@@ -715,7 +706,6 @@ COMMANDS = {
         ("theta", "L", "provenance", "lambda", "gamma_sf", "flagged"),
         _lattice_sizes,
         _slope_row,
-        pair_bytes=1300,
     ),
     "compare": Command(
         "exact vs quasiparticle curves with per-angle deviation",
@@ -723,7 +713,6 @@ COMMANDS = {
         ("theta", "provenance", "elastic", "inelastic", "deviation"),
         _one_lattice,
         _compare_row,
-        pair_bytes=1300,
     ),
 }
 
@@ -733,8 +722,8 @@ def run(config: ScanConfig):
 
     The outer loop walks the command's sites, the inner loop each site's
     probes, and each step yields a row per provenance of the site.  A
-    layout whose (site, probe) pairs would not fit in memory, at the
-    command's pair_bytes a pair, is refused before any curve.
+    layout whose points, one per (site, probe, provenance), would not fit
+    in memory at exact.POINT_BYTES a point is refused before any curve.
     """
     command = COMMANDS.get(config.command)
     if command is None:
@@ -753,8 +742,8 @@ def run(config: ScanConfig):
     manifest.parameters["provenance"] = list(kinds)
 
     sites = command.layout(config, kinds, manifest)
-    pairs = sum(len(s.probes) for s in sites)
-    require_grid_capacity(pairs, f"{config.command} grid", command.pair_bytes)
+    points = sum(len(s.probes) * len(s.kinds) for s in sites)
+    require_grid_capacity(points, f"{config.command} grid")
     # every exact curve reads a spectrum, and compare and deviation-map
     # measure every curve against the exact one
     reading = [

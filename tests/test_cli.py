@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line interface and config resolution."""
 import csv
+import errno
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 
 from latscat.cli import build_parser, main, read_config_file, resolve_config
 from latscat.errors import BadParameterError
-from latscat.scans import COMMANDS, ScanConfig
+from latscat import exact
+from latscat.scans import ScanConfig
 
 
 def run_cli(tmp_path, *args):
@@ -363,6 +367,43 @@ def test_exit_2_directory_that_is_a_file(tmp_path, capsys, flag, path):
     assert not (tmp_path / "run.csv").exists()
 
 
+@pytest.mark.parametrize("call", ["mkstemp", "replace"])
+@pytest.mark.parametrize("target", ["spec_", "run.csv", "run.manifest.json"])
+def test_exit_2_file_that_cannot_be_written(tmp_path, capsys, monkeypatch, target, call):
+    # the cache, CSV or manifest write fails as on a full disk, when its
+    # temporary file is made or when it is moved into place
+    mkstemp, replace = tempfile.mkstemp, os.replace
+
+    def refuse(name):
+        if name.startswith(target):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def failing_mkstemp(*args, prefix, **kwargs):
+        if call == "mkstemp":
+            refuse(prefix)
+        return mkstemp(*args, prefix=prefix, **kwargs)
+
+    def failing_replace(src, dst):
+        if call == "replace":
+            refuse(os.path.basename(dst))
+        return replace(src, dst)
+
+    monkeypatch.setattr(tempfile, "mkstemp", failing_mkstemp)
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code = main([
+        "theta-scan", "--L", "3", "--n", "1", "--theta-grid", "3", "--provenance", "exact",
+        "--cache-dir", str(tmp_path / "cache"), "--out", str(tmp_path / "run.csv"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"latscat: error: cannot write {tmp_path}") and target in err
+    assert err.rstrip().endswith(os.strerror(errno.ENOSPC))
+    # only finished files are left, none of the temporary ones
+    left = {p.name for p in tmp_path.rglob("*") if p.is_file()}
+    assert all(name in ("run.csv", "run.manifest.json") or name.endswith(".lspec") for name in left)
+    assert not any(name.startswith(target) for name in left)
+
+
 def test_exit_3_capacity(tmp_path, capsys, monkeypatch):
     # 135751 states in 27152 orbits: about 35 GB in sectors
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 8 * 2**30)
@@ -396,8 +437,8 @@ def test_exit_3_before_laying_out_every_filling(tmp_path):
     ids=["theta-grid", "u-grid"],
 )
 def test_exit_3_for_a_counted_grid_past_memory(tmp_path, args):
-    # 10^12 points at exact.GRID_POINT_BYTES each fit nowhere; they are
-    # refused before the grid is laid out
+    # 10^12 points at exact.POINT_BYTES each fit nowhere; they are refused
+    # before the grid is laid out
     proc = subprocess.run(
         [sys.executable, "-m", "latscat.cli", *args, "--out", str(tmp_path / "run.csv")],
         capture_output=True,
@@ -455,9 +496,9 @@ def test_the_mott_limit_of_a_chain_of_any_length_allocates_no_modes(tmp_path):
 def test_exit_3_when_the_dense_solve_would_not_fit(tmp_path, capsys, monkeypatch):
     # dimension C(9,5) = 126 in 26 orbits: the sector solve needs about
     # 6 * 8 * 26^2 + 5 * 8 * 126 * 5 = 57648 bytes, one byte more than there
-    # is; the 3 angles, at theta-scan's charge a pair, fit
+    # is; the 3 angles of the one provenance, at exact.POINT_BYTES a point, fit
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 57647)
-    assert 3 * COMMANDS["theta-scan"].pair_bytes < 57647
+    assert 3 * exact.POINT_BYTES < 57647
     code, out, _ = run_cli(
         tmp_path,
         "theta-scan",

@@ -454,12 +454,36 @@ def test_deviation_map_names_failing_cell(monkeypatch):
 
 
 def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
-    # on L = 3 only the n = 1.0 cell (N = 3, dimension 10 in 4 orbits) needs
-    # 6 * 8 * 4^2 + 5 * 8 * 10 * 3 = 1968 bytes for its sector solve
-    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 1967)
-    cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0,), theta_grid=3)
-    with pytest.raises(CapacityError, match=r"N=3, L=3: .* 1968 bytes.* 1967 bytes"):
+    # on L = 4 only the n = 1.0 cell (N = 4, dimension 35 in 10 orbits) needs
+    # 6 * 8 * 10^2 + 5 * 8 * 35 * 4 = 10400 bytes for its sector solve; the
+    # step's charge, 4 cells at one angle, 4 * exact.POINT_BYTES, fits
+    assert 4 * exact.POINT_BYTES < 10399
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 10399)
+    cfg = ScanConfig(
+        command="deviation-map", L_values=(4,), n=1.0, u_grid=(1.0,), theta_grid=(0.5,)
+    )
+    with pytest.raises(CapacityError, match=r"N=4, L=4: .* 10400 bytes.* 10399 bytes"):
         run(cfg)
+
+
+def test_deviation_map_charges_each_step_before_laying_it_out(monkeypatch):
+    # L = 3 realizes N = 1, 2, 3 at 2 U/J and 3 angles: 6, 12 and 18 points
+    # before each step; the third step's 18 do not fit, and its cells,
+    # each of whose sector solves would, are never built
+    available = 12 * exact.POINT_BYTES
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
+    built, site = [], scans.Site
+    monkeypatch.setattr(
+        scans, "Site", lambda kinds, lattice, *args: built.append(lattice.N) or site(kinds, lattice, *args)
+    )
+    cfg = ScanConfig(command="deviation-map", L_values=(3,), n=1.0, u_grid=(1.0, 2.0), theta_grid=3)
+    with pytest.raises(
+        CapacityError,
+        match=rf"^a deviation-map grid of 18 points needs about {18 * exact.POINT_BYTES} bytes, "
+        rf"but only {available}",
+    ):
+        run(cfg)
+    assert built == [1, 1, 2, 2]
 
 
 @pytest.mark.parametrize(
@@ -469,57 +493,65 @@ def test_deviation_map_names_the_cell_its_memory_refuses(monkeypatch):
         ("heatmap", dict(L_values=(5,), theta_grid=30), 41 * 30),
         # 7 u at 10 angles, refused before any spectrum is solved
         ("u-scan", dict(L_values=(5,), n=2.0, u_grid=tuple(range(7)), theta_grid=10), 7 * 10),
-        # 3 fillings of L = 3 (N = 1, 2, 3) at 8 U/J and 3 angles; every
-        # cell's sector solve, at most 1968 bytes, fits
+        # 3 fillings of L = 3 (N = 1, 2, 3) at 8 U/J and 3 angles, refused
+        # at the third filling's step; every cell's sector solve, at most
+        # 1968 bytes, fits
         ("deviation-map", dict(L_values=(3,), u_grid=tuple(range(1, 9)), theta_grid=3), 72),
     ],
 )
 def test_a_grid_is_charged_by_its_site_probe_pairs(monkeypatch, command, options, pairs):
-    # the angles alone fit: 30 of them at exact.GRID_POINT_BYTES a point
-    available = 50 * exact.GRID_POINT_BYTES
+    # a point per provenance of each pair; the angles alone fit, 30 of them
+    # at exact.POINT_BYTES a point
+    available = 50 * exact.POINT_BYTES
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
-    needed = pairs * COMMANDS[command].pair_bytes
+    points = pairs * len(COMMANDS[command].allowed)
+    needed = points * exact.POINT_BYTES
     with pytest.raises(
         CapacityError,
-        match=rf"^a {command} grid of {pairs} points needs about {needed} bytes, but only {available}",
+        match=rf"^a {command} grid of {points} points needs about {needed} bytes, but only {available}",
     ):
         run(ScanConfig(command=command, **options))
 
 
-# small runs of every command that lays out probes: each cell's sector solve
-# (at most 1968 bytes on L = 3) and condensate fit under either charge
+# small runs of every command that lays out probes, and their points: each
+# cell's sector solve (at most 1968 bytes on L = 3) and condensate fit at
+# the charge of its grid
 SMALL_RUNS = {
-    "theta-scan": dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES),
-    "compare": dict(L_values=(3,), n=1.0, U_over_J=1.0),
-    "u-scan": dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0)),
-    "heatmap": dict(L_values=(3,), n=1.0, U_over_J=1.0),
-    "deviation-map": dict(L_values=(3,), n=1.0, u_grid=(1.0,)),
-    "slope": dict(L_values=(3, 5)),
+    "theta-scan": (6 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)),
+    "compare": (2 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0)),
+    # 2 u at 10 angles, with exact, bogoliubov and linear
+    "u-scan": (2 * 10 * 3, dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0))),
+    # 41 probe energies at each of 10 angles
+    "heatmap": (41 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0)),
+    # N = 1, 2 and 3 at one U/J
+    "deviation-map": (3 * 10, dict(L_values=(3,), n=1.0, u_grid=(1.0,))),
+    # L = 3 with linear, L = 5 with linear and largeL
+    "slope": (10 + 2 * 10, dict(L_values=(3, 5))),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
 def test_a_grid_that_fits_the_least_charge_but_not_its_commands_is_refused(monkeypatch, command):
-    config = ScanConfig(command=command, theta_grid=10, **SMALL_RUNS[command])
-    probes = {"heatmap": scans.HEATMAP_E0_POINTS}.get(command, 1) * 10
-    sites = {"u-scan": 2, "deviation-map": 3, "slope": 2}.get(command, 1)
-    pairs = sites * probes
-    needed = pairs * COMMANDS[command].pair_bytes
-    available = (pairs * exact.GRID_POINT_BYTES + needed) // 2
-    monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
+    # the least charge is the counted angle grid's, a point an angle; the
+    # command is refused one byte short of its own points and runs at them
+    points, options = SMALL_RUNS[command]
+    config = ScanConfig(command=command, theta_grid=10, **options)
+    needed = points * exact.POINT_BYTES
+    assert 10 * exact.POINT_BYTES < needed - 1
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: needed - 1)
     with pytest.raises(
         CapacityError,
-        match=rf"^a {command} grid of {pairs} points needs about {needed} bytes, but only {available}",
+        match=rf"^a {command} grid of {points} points needs about {needed} bytes, but only {needed - 1}",
     ):
         run(config)
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: needed)
+    table, _ = run(config)
+    assert table.rows
 
 
-# larger runs, with every provenance each command allows, past the growth of
-# the exact curve's blocks of probes
+# larger runs, past the growth of the exact curve's blocks of probes
 SLOPE_RUNS = {
-    "theta-scan": (
-        (1000, 2000), dict(L_values=(5,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)
-    ),
+    "theta-scan": ((1000, 2000), dict(L_values=(5,), n=1.0, U_over_J=1.0)),
     "compare": ((1000, 2000), dict(L_values=(5,), n=1.0, U_over_J=1.0)),
     "u-scan": ((250, 500), dict(L_values=(5,), n=1.0, u_grid=(0.1, 1.0, 10.0))),
     "heatmap": ((50, 100), dict(L_values=(5,), n=1.0, U_over_J=1.0)),
@@ -537,25 +569,29 @@ def test_every_command_that_lays_out_probes_has_its_charge_measured():
 
 @pytest.mark.parametrize("command", sorted(SLOPE_RUNS))
 def test_a_command_is_charged_at_least_what_each_pair_holds(monkeypatch, tmp_path, command):
-    # the gate reads a fixed memory, so the run is the same on every machine
+    # what a run holds grows by at most exact.POINT_BYTES a point, with the
+    # command's default provenances and with every one it allows; the gate
+    # reads a fixed memory, so the run is the same on every machine
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**33)
     sizes, options = SLOPE_RUNS[command]
-    spec, peaks, pairs = COMMANDS[command], [], []
-    for angles in sizes:
-        config = ScanConfig(
-            command=command, theta_grid=angles, out=str(tmp_path / "run.csv"), **options
-        )
-        kinds = config.provenance or spec.default or spec.allowed
-        sites = spec.layout(config, kinds, RunManifest(command, {}))
-        pairs.append(sum(len(s.probes) for s in sites))
-        tracemalloc.start()
-        try:
-            execute(config)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    slope = (peaks[1] - peaks[0]) / (pairs[1] - pairs[0])
-    assert 0 < slope <= spec.pair_bytes, (slope, spec.pair_bytes)
+    spec = COMMANDS[command]
+    for kinds in dict.fromkeys((spec.default or spec.allowed, spec.allowed)):
+        peaks, points = [], []
+        for angles in sizes:
+            config = ScanConfig(
+                command=command, theta_grid=angles, provenance=kinds,
+                out=str(tmp_path / "run.csv"), **options,
+            )
+            sites = spec.layout(config, kinds, RunManifest(command, {}))
+            points.append(sum(len(s.probes) * len(s.kinds) for s in sites))
+            tracemalloc.start()
+            try:
+                execute(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
+        assert 0 < slope <= exact.POINT_BYTES, (kinds, slope, exact.POINT_BYTES)
 
 
 def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):
