@@ -44,8 +44,9 @@ from .model import (
 DEPLETION_RESIDUAL_TOL = 1e-12
 
 # two_qp_contribution holds this many bytes a pair of modes: its tracemalloc
-# peak grows by 66 bytes a pair from L = 300 to 1200.
-TWO_QP_PAIR_BYTES = 72
+# peak grows by 82 bytes a pair from L = 300 to 1200, 16 of them the open
+# pairs' momenta and couplings, which its entry copies.
+TWO_QP_PAIR_BYTES = 88
 
 
 @dataclass(frozen=True)

@@ -84,10 +84,7 @@ def _parse_u_grid(text) -> dict:
             raise BadParameterError(f"--u-grid count must be positive, got {count}")
         count = require_grid_capacity(count, "u grid")
         return {"u_grid": tuple(float(v) for v in np.linspace(lo, hi, count))}
-    values = tuple(_parse_float("u-grid", piece) for piece in text.split(","))
-    if not values:
-        raise BadParameterError("--u-grid is empty")
-    return {"u_grid": values}
+    return {"u_grid": tuple(_parse_float("u-grid", piece) for piece in text.split(","))}
 
 
 def _parse_provenance(text) -> dict:

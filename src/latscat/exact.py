@@ -100,6 +100,15 @@ BASIS_ARRAYS = 5
 # laid out.
 POINT_BYTES = 700
 
+# A scan run holds at most this many bytes a mode of each condensate its
+# sites keep: the largest tracemalloc slope of scans.execute per u at L = 1000
+# and 2000 (50 to 100 u), over the L - 1 modes of a u, is 8.9 bytes a mode on
+# depletion and 51.2 on u-scan with bogoliubov,linear, plus a quarter.  u-scan's
+# default and deviation-map keep the same condensate a site beside an exact
+# spectrum, which is charged only as it is solved; at the chain lengths an
+# exact solve reaches, a site, not its modes, holds most of what it adds.
+KEPT_MODE_BYTES = 64
+
 # A condensate holds at least this many bytes a mode.  The tracemalloc peak
 # of scans.run at 3 angles, from L = 2e4 to 8e4, grows by 37 bytes a mode on
 # depletion and largeL, the least measured, 73 on bogoliubov and sf-limit,
@@ -390,9 +399,8 @@ class SpectrumResult:
         count = int(np.count_nonzero(dE < E0))
         if self.weights is None:
             return open_channels(dE, E0, (self.density_elements,), count)
-        carrying = self.weights > 0
-        rows = (self.momenta[carrying], self.weights[carrying])
-        return open_channels(dE[carrying], E0, rows, count)
+        dE[~(self.weights > 0)] = np.inf  # nor is a state that carries no weight
+        return open_channels(dE, E0, (self.momenta, self.weights), count)
 
 
 def _worst_residual(A, V: np.ndarray, w: np.ndarray) -> float:

@@ -157,9 +157,13 @@ def _kinematic_root(kel: float, E0: float, energy_of) -> float:
     |kel| <= pi the root is unique; past that the bracket may hold
     several, and the bisection returns one of them.  The L -> infinity
     limit sums over all of them, which this single-root form does not.
+    The residual is taken in Python floats, as energy_of should be: a numpy
+    scalar costs about ten times as much, and the bisection takes about 55.
     """
+    kel = float(kel)
+
     def residual(x):
-        return kel * np.sqrt(max(0.0, 1.0 - energy_of(x) / E0)) - x
+        return kel * math.sqrt(max(0.0, 1.0 - energy_of(x) / E0)) - x
 
     lo, hi = (kel, 0.0) if kel > 0 else (0.0, kel)
     return bisect(residual, lo, hi)
@@ -202,8 +206,9 @@ def largeL_bog_cs(state: BogoliubovState, probe: ProbeSpec, V0: float) -> float:
     J = lattice.J
 
     def omega_of(q):
-        eps = float(bloch_dispersion(q, J))
-        return float(np.sqrt(eps * (eps + 2.0 * Un0)))
+        # bloch_dispersion and np.sqrt in Python floats, with the same bits
+        eps = 4.0 * J * math.sin(q / 2.0) ** 2
+        return math.sqrt(eps * (eps + 2.0 * Un0))
 
     if high_probe_energy(probe.E0, J, lattice.u_dimensionless):
         folded = fold_to_zone(kel)

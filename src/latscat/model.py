@@ -238,9 +238,9 @@ class OpenChannels:
 
     ``root`` is sqrt(1 - omega/E0) at the owner's channel energies omega
     below E0, ``count`` is the number of the owner's states below E0, and
-    ``rows`` are the owner's per-channel arrays at the open channels: views
-    when every channel is open, copies otherwise.  Every array is
-    read-only.  An entry holds channel data only, never a cross section.
+    ``rows`` are copies of the owner's per-channel arrays at the open
+    channels.  Every array is read-only.  An entry holds channel data only,
+    never a cross section.
     """
 
     E0: float
@@ -255,13 +255,8 @@ def open_channels(omega, E0: float, rows=(), count=None) -> OpenChannels:
     count defaults to the number of open channels.
     """
     open_ = omega < E0
-    if open_.all():
-        root = np.sqrt(1.0 - omega / E0)
-        # views, C-contiguous as row[open_] would be; the owner's arrays stay writeable
-        rows = tuple(np.ascontiguousarray(row).view() for row in rows)
-    else:
-        root = np.sqrt(1.0 - omega[open_] / E0)
-        rows = tuple(row[open_] for row in rows)
+    root = np.sqrt(1.0 - omega[open_] / E0)
+    rows = tuple(row[open_] for row in rows)
     for array in (root, *rows):
         array.flags.writeable = False
     return OpenChannels(E0, root, root.size if count is None else count, rows)

@@ -40,12 +40,15 @@ from .bogoliubov import (
 )
 from .errors import BadParameterError, CacheError
 from .exact import (
+    KEPT_MODE_BYTES,
+    POINT_BYTES,
     SpectrumResult,
     basis_dimension,
     exact_inelastic_curve,
     ground_channel_fault,
     require_capacity,
     require_grid_capacity,
+    require_memory,
     sector_spectrum,
 )
 from .limits import (
@@ -722,8 +725,10 @@ def run(config: ScanConfig):
 
     The outer loop walks the command's sites, the inner loop each site's
     probes, and each step yields a row per provenance of the site.  A
-    layout whose points, one per (site, probe, provenance), would not fit
-    in memory at exact.POINT_BYTES a point is refused before any curve.
+    layout is refused before any curve when its points, one per (site,
+    probe, provenance), at exact.POINT_BYTES a point, and the L - 1 modes of
+    each condensate its sites keep, at exact.KEPT_MODE_BYTES a mode, would
+    not fit in memory together.
     """
     command = COMMANDS.get(config.command)
     if command is None:
@@ -743,7 +748,16 @@ def run(config: ScanConfig):
 
     sites = command.layout(config, kinds, manifest)
     points = sum(len(s.probes) * len(s.kinds) for s in sites)
-    require_grid_capacity(points, f"{config.command} grid")
+    # a site keeps its condensate once a curve or a depletion column reads it
+    keeping = [
+        s.lattice.L for s in sites
+        if "depletion" in command.columns or {"bogoliubov", "largeL"} & set(s.kinds)
+    ]
+    modes = sum(keeping) - len(keeping)
+    what = f"a {config.command} grid of {points} points"
+    if keeping:
+        what = f"L={max(keeping)}: {what} and {modes} kept condensate modes"
+    require_memory(what, points * POINT_BYTES + modes * KEPT_MODE_BYTES)
     # every exact curve reads a spectrum, and compare and deviation-map
     # measure every curve against the exact one
     reading = [

@@ -405,3 +405,34 @@ def test_an_exact_curve_builds_the_channels_of_each_energy_once():
         counts = [replace(spectrum).channels(p.E0).count for p in probes]
         assert [cs.contributing_states for cs in records] == counts
         assert list(curve) == [cs.inelastic for cs in records]
+
+
+def test_an_entry_is_a_copy_of_its_owners_arrays_at_the_open_channels():
+    # at an energy that opens only the lowest level and at one above all
+    # levels: the roots at the open channels' energies and every row at
+    # the same mask, in copies that share no memory with the owner
+    lattice = LatticeSpec(L=5, n=0.6, U=0.4 * J, J=J, V0=V0)
+    state = solve_depletion(lattice)
+    owners = {
+        "dense": (diagonalize(lattice), lambda s: (s.density_elements,)),
+        "sector": (sector_spectrum(lattice), lambda s: (s.momenta, s.weights)),
+        "condensate": (state, lambda s: (s.grid,)),
+    }
+    for name, (owner, arrays) in owners.items():
+        if isinstance(owner, exact.SpectrumResult):
+            energies = owner.eigenvalues - owner.ground_energy
+            channel = np.arange(energies.size) != owner.ground_index
+            if owner.weights is not None:
+                channel &= owner.weights > 0
+        else:
+            energies, channel = owner.omega_table, np.ones(owner.omega_table.size, bool)
+        _, partly, above = three_energies(owner)
+        for E0 in (partly, above):
+            fresh = replace(owner)
+            entry = fresh.channels(E0)
+            mask = channel & (energies < E0)
+            assert mask.any() and np.array_equal(mask, channel) == (E0 == above), name
+            assert np.array_equal(entry.root, np.sqrt(1.0 - energies[mask] / E0)), name
+            for row, array in zip(entry.rows, arrays(fresh)):
+                assert np.array_equal(row, array[mask]), name
+                assert not np.shares_memory(row, array), name

@@ -306,6 +306,30 @@ def test_exit_2_malformed_number(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--J", "abc"], "--J must be a number, got 'abc'"),
+        (["--L", "1"], "--L must be at least 2, got 1"),
+        (["--theta-grid", "1"], "--theta-grid needs at least 2 points, got 1"),
+        (["--u-grid", "1:2"], "--u-grid range must be lo:hi:count, got '1:2'"),
+        (["--u-grid", "0:1:0"], "--u-grid count must be positive, got 0"),
+        # str.split never returns an empty list: the empty grid is one empty number
+        (["--u-grid", ""], "--u-grid must be a number, got ''"),
+        (["--config", "missing.cfg"], "cannot read config file missing.cfg"),
+    ],
+    ids=["J-abc", "L-1", "theta-grid-1", "u-grid-two-pieces", "u-grid-count-0", "u-grid-empty",
+         "config-unreadable"],
+)
+def test_exit_2_a_flag_refused_by_its_parser(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(tmp_path, "u-scan", *flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latscat: error: ") and message in err
+    assert not out.exists()
+
+
 def test_exit_2_negative_interaction(tmp_path):
     code, _, _ = run_cli(tmp_path, "theta-scan", "--L", "4", "--U-over-J", "-1")
     assert code == 2
@@ -476,6 +500,27 @@ def test_exit_3_for_a_chain_whose_modes_fit_nowhere(tmp_path, args):
     assert proc.returncode == 3, proc.stderr
     assert "latscat: capacity: L=1000000000000: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_exit_3_for_the_condensates_a_run_would_keep(tmp_path):
+    # 100 000 condensates of 999 999 modes, about 9 MB each: refused in the
+    # charge of the layout, before the first is solved
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "latscat.cli", "depletion", "--L", "1000000", "--n", "1",
+            "--u-grid", "0:1:100000", "--out", str(tmp_path / "run.csv"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    needed = 100000 * 999999 * exact.KEPT_MODE_BYTES
+    assert proc.stderr.startswith(
+        "latscat: capacity: L=1000000: a depletion grid of 0 points and 99999900000 kept "
+        f"condensate modes needs about {needed} bytes"
+    )
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_the_mott_limit_of_a_chain_of_any_length_allocates_no_modes(tmp_path):

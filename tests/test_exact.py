@@ -26,12 +26,14 @@ from latscat.errors import (
 from latscat.exact import (
     ExactCrossSection,
     FockBasis,
+    SpectrumResult,
     basis_dimension,
     build_hamiltonian,
     density_elements,
     diagonalize,
     enumerate_basis,
     exact_cross_section,
+    exact_inelastic_curve,
     full_spectrum,
     sector_spectrum,
 )
@@ -588,3 +590,13 @@ def test_a_spectrum_of_another_lattice_is_refused(solve, N, L, match):
     lattice = LatticeSpec(L=L, n=N / L, U=J, J=J)
     with pytest.raises(BadParameterError, match=match):
         exact_cross_section(spectrum, lattice, ProbeSpec(E0=2.0, theta=0.7))
+
+
+def test_a_spectrum_with_neither_channels_nor_a_table_is_refused():
+    # the two eigenvalues of a bare result: no weights, no density elements
+    spectrum = SpectrumResult(
+        eigenvalues=np.array([-1.0, 0.5]), eigenvectors=None, ground_energy=-1.0, ground_index=0
+    )
+    lattice = LatticeSpec(L=2, n=0.5, U=J, J=J)
+    with pytest.raises(BadParameterError, match="^spectrum has neither channels nor density elements$"):
+        exact_inelastic_curve(spectrum, lattice, [ProbeSpec(E0=2.0, theta=0.7)])

@@ -210,6 +210,12 @@ def test_lattice_sum_sq_matches_explicit_sum(L):
         assert_allclose(lattice_sum_sq(k, L), explicit_phase_sum_sq(k, L), rtol=1e-10)
 
 
+@pytest.mark.parametrize("L", [2.5, 4.0, "4"])
+def test_lattice_sum_sq_refuses_an_L_that_is_not_an_integer(L):
+    with pytest.raises(BadParameterError, match=rf"integer L >= 2, got {L!r}"):
+        lattice_sum_sq(0.3, L)
+
+
 def test_lattice_sum_sq_vectorized():
     k = np.array([0.0, 0.1, np.pi])
     out = lattice_sum_sq(k, 4)

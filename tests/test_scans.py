@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 
@@ -137,6 +138,27 @@ def test_cache_rejects_bad_magic(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(b"XSCAT-SPEC" + blob[10:])
     with pytest.raises(CacheError):
+        load_spectrum(path, lattice)
+
+
+@pytest.mark.parametrize(
+    "write, match",
+    [
+        # a directory where the file should be: reading it raises OSError
+        (lambda path: path.mkdir(), "^cannot read spectrum cache {}: "),
+        (lambda path: path.write_bytes(b"LSCAT-SPEC v2 N=4 L=4"), "^spectrum cache {} has no header line$"),
+        (
+            lambda path: path.write_bytes("LSCAT-SPEC v2 N=4 L=4 Ü\n".encode()),
+            "^spectrum cache {} header is not text$",
+        ),
+    ],
+    ids=["unreadable", "no-header-line", "non-ascii-header"],
+)
+def test_cache_refuses_a_file_without_a_readable_header(tmp_path, write, match):
+    lattice = _small_lattice()
+    path = cache_path(tmp_path, lattice)
+    write(path)
+    with pytest.raises(CacheError, match=match.format(re.escape(str(path)))):
         load_spectrum(path, lattice)
 
 
@@ -486,12 +508,29 @@ def test_deviation_map_charges_each_step_before_laying_it_out(monkeypatch):
     assert built == [1, 1, 2, 2]
 
 
+def layout_charge(command, points, kept=()):
+    """What run's layout charge names, and its bytes: the points, and the
+    L - 1 modes of a condensate kept at each L of ``kept``."""
+    modes = sum(kept) - len(kept)
+    what = f"a {command} grid of {points} points"
+    if kept:
+        what = f"L={max(kept)}: {what} and {modes} kept condensate modes"
+    return what, points * exact.POINT_BYTES + modes * exact.KEPT_MODE_BYTES
+
+
+# the L of each condensate that run's layout charge counts: heatmap and
+# deviation-map are refused inside their layouts, before that charge
+KEPT_WHEN_REFUSED = {"u-scan": (5,) * 7}
+
+
 @pytest.mark.parametrize(
     "command, options, pairs",
     [
-        # 41 probe energies at each of 30 angles
+        # 41 probe energies at each of 30 angles, refused as the layout
+        # builds its probes
         ("heatmap", dict(L_values=(5,), theta_grid=30), 41 * 30),
-        # 7 u at 10 angles, refused before any spectrum is solved
+        # 7 u at 10 angles, each u's condensate of 4 modes kept, refused
+        # before any spectrum is solved
         ("u-scan", dict(L_values=(5,), n=2.0, u_grid=tuple(range(7)), theta_grid=10), 7 * 10),
         # 3 fillings of L = 3 (N = 1, 2, 3) at 8 U/J and 3 angles, refused
         # at the third filling's step; every cell's sector solve, at most
@@ -504,44 +543,45 @@ def test_a_grid_is_charged_by_its_site_probe_pairs(monkeypatch, command, options
     # at exact.POINT_BYTES a point
     available = 50 * exact.POINT_BYTES
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
-    points = pairs * len(COMMANDS[command].allowed)
-    needed = points * exact.POINT_BYTES
+    kept = KEPT_WHEN_REFUSED.get(command, ())
+    what, needed = layout_charge(command, pairs * len(COMMANDS[command].allowed), kept)
     with pytest.raises(
-        CapacityError,
-        match=rf"^a {command} grid of {points} points needs about {needed} bytes, but only {available}",
+        CapacityError, match=rf"^{what} needs about {needed} bytes, but only {available}"
     ):
         run(ScanConfig(command=command, **options))
 
 
-# small runs of every command that lays out probes, and their points: each
-# cell's sector solve (at most 1968 bytes on L = 3) and condensate fit at
-# the charge of its grid
+# small runs of every command that lays out probes, their points and the L
+# of each condensate they keep: each cell's sector solve (at most 1968 bytes
+# on L = 3) and condensate fit at the charge of its layout
 SMALL_RUNS = {
-    "theta-scan": (6 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)),
-    "compare": (2 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0)),
+    "theta-scan": (
+        6 * 10, (3,), dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)
+    ),
+    "compare": (2 * 10, (3,), dict(L_values=(3,), n=1.0, U_over_J=1.0)),
     # 2 u at 10 angles, with exact, bogoliubov and linear
-    "u-scan": (2 * 10 * 3, dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0))),
+    "u-scan": (2 * 10 * 3, (3, 3), dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0))),
     # 41 probe energies at each of 10 angles
-    "heatmap": (41 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0)),
+    "heatmap": (41 * 10, (3,), dict(L_values=(3,), n=1.0, U_over_J=1.0)),
     # N = 1, 2 and 3 at one U/J
-    "deviation-map": (3 * 10, dict(L_values=(3,), n=1.0, u_grid=(1.0,))),
-    # L = 3 with linear, L = 5 with linear and largeL
-    "slope": (10 + 2 * 10, dict(L_values=(3, 5))),
+    "deviation-map": (3 * 10, (3, 3, 3), dict(L_values=(3,), n=1.0, u_grid=(1.0,))),
+    # L = 3 with linear, L = 5 with linear and largeL, whose condensate it keeps
+    "slope": (10 + 2 * 10, (5,), dict(L_values=(3, 5))),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
 def test_a_grid_that_fits_the_least_charge_but_not_its_commands_is_refused(monkeypatch, command):
     # the least charge is the counted angle grid's, a point an angle; the
-    # command is refused one byte short of its own points and runs at them
-    points, options = SMALL_RUNS[command]
+    # command is refused one byte short of its own points and kept modes,
+    # and runs at them
+    points, kept, options = SMALL_RUNS[command]
     config = ScanConfig(command=command, theta_grid=10, **options)
-    needed = points * exact.POINT_BYTES
+    what, needed = layout_charge(command, points, kept)
     assert 10 * exact.POINT_BYTES < needed - 1
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: needed - 1)
     with pytest.raises(
-        CapacityError,
-        match=rf"^a {command} grid of {points} points needs about {needed} bytes, but only {needed - 1}",
+        CapacityError, match=rf"^{what} needs about {needed} bytes, but only {needed - 1}"
     ):
         run(config)
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: needed)
@@ -592,6 +632,33 @@ def test_a_command_is_charged_at_least_what_each_pair_holds(monkeypatch, tmp_pat
                 tracemalloc.stop()
         slope = (peaks[1] - peaks[0]) / (points[1] - points[0])
         assert 0 < slope <= exact.POINT_BYTES, (kinds, slope, exact.POINT_BYTES)
+
+
+@pytest.mark.parametrize(
+    "command, kinds, points", [("depletion", None, 0), ("u-scan", ("bogoliubov", "linear"), 2)]
+)
+def test_a_kept_condensate_is_charged_at_least_what_it_holds(
+    monkeypatch, tmp_path, command, kinds, points
+):
+    # at L = 1000 what a run holds grows per u by at most its charge a u:
+    # its points at the one default angle, and the 999 modes of the u's
+    # condensate at exact.KEPT_MODE_BYTES each
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**33)
+    peaks, counts = [], (20, 40)
+    for count in counts:
+        config = ScanConfig(
+            command=command, L_values=(1000,), provenance=kinds,
+            u_grid=tuple(0.01 * (i + 1) for i in range(count)), out=str(tmp_path / "run.csv"),
+        )
+        tracemalloc.start()
+        try:
+            execute(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
+    charge = points * exact.POINT_BYTES + 999 * exact.KEPT_MODE_BYTES
+    assert 0 < slope <= charge, (slope, charge)
 
 
 def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):
