@@ -136,10 +136,16 @@ def mi_inelastic(
     C = np.sqrt(1.0 - U / E0)
     kmi = kel * C
     w2 = float(form_factor(kmi, V0)) ** 2
+    return n * (n + 1) * C * w2 * _mott_pair_sum(L, V0) / L
+
+
+@lru_cache(maxsize=16)
+def _mott_pair_sum(L: int, V0: float):
+    """The Wannier pair sum of mi_inelastic, which no probe enters: once per (L, V0)."""
     pair_sum = 0.0
     for m in range(1, min(3, L - 1) + 1):
         pair_sum += 2 * (L - m) * np.exp(-(m**2) * np.pi**2 * np.sqrt(V0) / 2.0)
-    return n * (n + 1) * C * w2 * pair_sum / L
+    return pair_sum
 
 
 # ------------------------------------------------------- large-L formulas

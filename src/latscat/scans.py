@@ -3,13 +3,14 @@
 One runner, `run`, serves every command from the COMMANDS table: an outer
 loop over lattice configurations and an inner loop over probes, with each
 provenance's curve taken from the CURVES registry.  Before the loops, it
-gathers the lattices whose spectra its sites will read and fetches each
-distinct one once: it loads the cached ones, checks every miss against the
-memory refusal, and then solves the misses one by one in momentum sectors
-(exact.sector_spectrum).  Each site that reads a spectrum holds the one
-fetched for it, and sums its exact curve from it only when asked
-(exact.exact_inelastic_curve).  The cache holds each spectrum's scattering
-channels: (energy, momentum K, weight) per eigenstate.  It returns a
+checks every lattice whose spectrum its sites will read and that is not in
+the cache against the memory refusal.  Each distinct spectrum is then
+loaded or solved in momentum sectors (exact.sector_spectrum) when its first
+site comes up, and released after its last.  A site sums its exact curve
+from its spectrum only when asked (exact.exact_inelastic_curve), and once
+its rows are built it is dropped with what it read, so a run holds its
+rows and one site's sources at a time.  The cache holds each spectrum's
+scattering channels: (energy, momentum K, weight) per eigenstate.  It returns a
 rectangular ScanTable with an explicit provenance column plus manifest
 metadata; the writers emit byte-deterministic CSV
 (17 significant digits) whose first line points at the JSON run manifest.
@@ -27,6 +28,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ from .bogoliubov import (
 )
 from .errors import BadParameterError, CacheError
 from .exact import (
-    KEPT_MODE_BYTES,
     POINT_BYTES,
     SpectrumResult,
     basis_dimension,
@@ -191,13 +192,13 @@ class RunManifest:
     wall_time_s: float = 0.0
     version: str = __version__
 
-    def record_solves(self, results, seconds: float) -> None:
-        """Fold one batch of solved spectra into the spectra block."""
+    def record_solve(self, result, seconds: float) -> None:
+        """Fold one solved spectrum into the spectra block."""
         block = self.spectra
-        block["solved"] += len(results)
+        block["solved"] += 1
         block["solve_s"] += seconds
         for key, (name, pick) in _SPECTRA_EXTREMES.items():
-            values = [v for v in (block[key], *(getattr(r, name) for r in results)) if v is not None]
+            values = [v for v in (block[key], getattr(result, name)) if v is not None]
             block[key] = pick(values) if values else None
 
 
@@ -223,7 +224,7 @@ def save_spectrum(path, result: SpectrumResult, lattice: LatticeSpec) -> None:
     path = Path(path)
     header = f"{_CACHE_MAGIC} {_CACHE_VERSION} {_cache_key(lattice)}\n"
     channels = np.stack([result.eigenvalues, result.momenta, result.weights], axis=1)
-    _atomic_write_bytes(path, header.encode("ascii") + channels.astype("<f8").tobytes())
+    _atomic_write(path, [header.encode("ascii"), np.ascontiguousarray(channels, dtype="<f8")])
 
 
 def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
@@ -290,47 +291,57 @@ def load_spectrum(path, lattice: LatticeSpec) -> SpectrumResult:
 
 
 def cache_spectra(lattices, cache_dir, manifest: RunManifest | None = None):
-    """Spectra of the lattices, in order, going through the on-disk cache.
+    """An iterator over the spectra of the lattices, in order, going through
+    the on-disk cache; list() of it holds them all.
 
-    Each distinct lattice is fetched once: its cached spectrum is loaded,
-    or it passes the memory refusal of exact.require_capacity with every
-    other miss before any is solved, then it is solved in this process
-    (exact.sector_spectrum) and written back.  Corrupt cache entries are
-    reported as warnings and recomputed.  A file read counts one hit and a
-    solve one miss.
+    Every lattice without a cache file passes the memory refusal of
+    exact.require_capacity here, before any is solved.  Each distinct
+    lattice is then fetched once, when the iterator first comes to it, and
+    released after its last place: its cached spectrum is loaded, or it is
+    solved in this process (exact.sector_spectrum) and written back.  A
+    corrupt cache entry is reported as a warning, refused as a miss would
+    be, and recomputed.  A file read counts one hit and a solve one miss.
     """
-    if not lattices:
-        return []
     manifest = manifest or RunManifest(command="", parameters={})
-    if cache_dir is not None:
+    if lattices and cache_dir is not None:
         _make_dir(cache_dir)
     keys = [_cache_key(lat) for lat in lattices]
-    distinct = {}  # the first lattice of each key, in order
-    for key, lattice in zip(keys, lattices):
-        distinct.setdefault(key, lattice)
-    spectra, misses = {}, []
-    for key, lattice in distinct.items():
-        path = cache_path(cache_dir, lattice) if cache_dir is not None else None
-        if path is not None and path.exists():
-            try:
-                spectra[key] = load_spectrum(path, lattice)
-                manifest.cache["hits"] += 1
-                continue
-            except CacheError as exc:
-                manifest.warnings.append(f"recomputing spectrum: {exc}")
-        misses.append(key)
-        manifest.cache["misses"] += 1
+    last, missing = {}, set()  # each key's last place; the keys without a cache file
+    for j, (key, lattice) in enumerate(zip(keys, lattices)):
+        if key not in last and (cache_dir is None or not cache_path(cache_dir, lattice).exists()):
+            require_capacity(lattice.N, lattice.L)
+            missing.add(key)
+        last[key] = j
 
-    for key in misses:
-        require_capacity(distinct[key].N, distinct[key].L)
+    def fetched():
+        held = {}  # the spectra fetched and not yet past their last place
+        for j, (key, lattice) in enumerate(zip(keys, lattices)):
+            if key not in held:
+                held[key] = _fetch(lattice, cache_dir, key not in missing, manifest)
+            yield held[key] if last[key] > j else held.pop(key)
+
+    return fetched()
+
+
+def _fetch(lattice, cache_dir, cached, manifest):
+    """One lattice's spectrum: loaded from the cache when it is ``cached``
+    there, else solved and written to the cache, if there is one."""
+    path = cache_path(cache_dir, lattice) if cache_dir is not None else None
+    if cached:
+        try:
+            spectrum = load_spectrum(path, lattice)
+            manifest.cache["hits"] += 1
+            return spectrum
+        except CacheError as exc:
+            manifest.warnings.append(f"recomputing spectrum: {exc}")
+            require_capacity(lattice.N, lattice.L)
+    manifest.cache["misses"] += 1
     start = time.perf_counter()
-    for key in misses:
-        spectra[key] = sector_spectrum(distinct[key])
-        if cache_dir is not None:
-            save_spectrum(cache_path(cache_dir, distinct[key]), spectra[key], distinct[key])
-    if misses:
-        manifest.record_solves([spectra[key] for key in misses], time.perf_counter() - start)
-    return [spectra[key] for key in keys]
+    spectrum = sector_spectrum(lattice)
+    if path is not None:
+        save_spectrum(path, spectrum, lattice)
+    manifest.record_solve(spectrum, time.perf_counter() - start)
+    return spectrum
 
 
 # ------------------------------------------------------------------ writers
@@ -344,9 +355,10 @@ def _make_dir(path) -> None:
         raise BadParameterError(f"cannot use {path} as a directory: {exc.strerror}") from exc
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write data to path through a temporary file beside it, which never
-    outlives the call; a path that cannot be written is refused."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the chunks of bytes to path, in order, through a temporary file
+    beside it, which never outlives the call; a path that cannot be written
+    is refused."""
     path = Path(path)
     _make_dir(path.parent)
     umask = os.umask(0)  # the only way to read the umask is to set it
@@ -357,7 +369,7 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         with os.fdopen(fd, "wb") as fh:
             # mkstemp creates the file 0600; give it the mode open() would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
@@ -378,14 +390,15 @@ def format_cell(value) -> str:
 
 
 def write_csv(path, table: ScanTable, manifest_path) -> None:
-    lines = [f"# manifest: {manifest_path}", ",".join(table.columns)]
-    lines.extend(",".join(format_cell(v) for v in row) for row in table.rows)
-    _atomic_write_bytes(Path(path), ("\n".join(lines) + "\n").encode("ascii"))
+    # a line at a time, so the file's text is never held beside the rows
+    lines = (",".join(map(format_cell, row)) for row in table.rows)
+    head = [f"# manifest: {manifest_path}", ",".join(table.columns)]
+    _atomic_write(Path(path), (f"{line}\n".encode("ascii") for line in chain(head, lines)))
 
 
 def write_manifest(path, manifest: RunManifest) -> None:
     body = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-    _atomic_write_bytes(Path(path), body.encode("ascii"))
+    _atomic_write(Path(path), [body.encode("ascii")])
 
 
 def output_paths(config: ScanConfig):
@@ -426,9 +439,9 @@ class Site:
     open-channel sum per curve; the largeL and mi-limit curves go probe by
     probe.  `elastic` serves every provenance, exact included: the closed
     form model.elastic_curve, which the exact ground state meets exactly.
-    `spectrum` is the spectrum `run` fetched for the site, one batch for
-    all of its sites that read one, and the exact curve is summed from it
-    when first asked for, as the bogoliubov curve is from `state`.
+    `spectrum` is the spectrum `run` fetched for the site as it came up,
+    and the exact curve is summed from it when first asked for, as the
+    bogoliubov curve is from `state`.
     """
 
     def __init__(self, kinds, lattice, probes, label=(), u=None):
@@ -724,11 +737,11 @@ def run(config: ScanConfig):
     """Run one command in memory; returns (ScanTable, RunManifest).
 
     The outer loop walks the command's sites, the inner loop each site's
-    probes, and each step yields a row per provenance of the site.  A
-    layout is refused before any curve when its points, one per (site,
-    probe, provenance), at exact.POINT_BYTES a point, and the L - 1 modes of
-    each condensate its sites keep, at exact.KEPT_MODE_BYTES a mode, would
-    not fit in memory together.
+    probes, and each step yields a row per provenance of the site; a site
+    is dropped, with its spectrum, condensate and curves, once its rows are
+    built.  A layout is refused before any curve when its rows would not
+    fit in memory: one per (site, probe, provenance), or per (site,
+    provenance) without probes, at exact.POINT_BYTES a row.
     """
     command = COMMANDS.get(config.command)
     if command is None:
@@ -747,33 +760,27 @@ def run(config: ScanConfig):
     manifest.parameters["provenance"] = list(kinds)
 
     sites = command.layout(config, kinds, manifest)
-    points = sum(len(s.probes) * len(s.kinds) for s in sites)
-    # a site keeps its condensate once a curve or a depletion column reads it
-    keeping = [
-        s.lattice.L for s in sites
-        if "depletion" in command.columns or {"bogoliubov", "largeL"} & set(s.kinds)
-    ]
-    modes = sum(keeping) - len(keeping)
-    what = f"a {config.command} grid of {points} points"
-    if keeping:
-        what = f"L={max(keeping)}: {what} and {modes} kept condensate modes"
-    require_memory(what, points * POINT_BYTES + modes * KEPT_MODE_BYTES)
+    points = sum(max(len(s.probes), 1) * len(s.kinds) for s in sites)
+    require_memory(f"a {config.command} grid of {points} points", points * POINT_BYTES)
     # every exact curve reads a spectrum, and compare and deviation-map
     # measure every curve against the exact one
-    reading = [
-        s for s in sites
-        if "exact" in s.kinds or config.command in ("compare", "deviation-map")
-    ]
-    spectra = cache_spectra([s.lattice for s in reading], config.cache_dir, manifest)
-    for site, spectrum in zip(reading, spectra):
-        site.spectrum = spectrum
-    per_angle = "theta" in command.columns
-    steps = [(s, i) for s in sites for i in (range(len(s.probes)) if per_angle else (None,))]
-    if command.columns[0] == "theta":
-        steps.sort(key=lambda step: step[1])  # stable: by angle, then site
-    rows = [command.row(site, kind, i) for site, i in steps for kind in site.kinds]
-    if len(sites) == 1 and not sites[0].label:
-        _report(sites[0], manifest)
+    reads = "exact" in kinds or config.command in ("compare", "deviation-map")
+    spectra = cache_spectra([s.lattice for s in sites] if reads else [], config.cache_dir, manifest)
+    per_angle, by_angle = "theta" in command.columns, command.columns[0] == "theta"
+    report = len(sites) == 1 and not sites[0].label
+    # the rows of each probe index in a table that leads with theta, else
+    # one group; a site's indices count up from 0, so the groups come in order
+    groups = {}
+    for j, site in enumerate(sites):
+        if reads:
+            site.spectrum = next(spectra)
+        for i in range(len(site.probes)) if per_angle else (None,):
+            group = groups.setdefault(i if by_angle else None, [])
+            group.extend(command.row(site, kind, i) for kind in site.kinds)
+        if report:
+            _report(site, manifest)
+        sites[j] = site = None  # what the site read goes with it
+    rows = [row for group in groups.values() for row in group]
     return ScanTable(columns=list(command.columns), rows=rows), manifest
 
 

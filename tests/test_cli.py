@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -502,25 +503,32 @@ def test_exit_3_for_a_chain_whose_modes_fit_nowhere(tmp_path, args):
     assert "Traceback" not in proc.stderr
 
 
-def test_exit_3_for_the_condensates_a_run_would_keep(tmp_path):
-    # 100 000 condensates of 999 999 modes, about 9 MB each: refused in the
-    # charge of the layout, before the first is solved
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "latscat.cli", "depletion", "--L", "1000000", "--n", "1",
-            "--u-grid", "0:1:100000", "--out", str(tmp_path / "run.csv"),
-        ],
-        capture_output=True,
-        text=True,
-        timeout=30,
+def test_a_depletion_run_is_charged_its_rows_and_holds_one_condensate_at_a_time(
+    tmp_path, capsys, monkeypatch
+):
+    # a row a u at exact.POINT_BYTES, refused before the first condensate of
+    # 999 999 modes is solved
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 3 * exact.POINT_BYTES - 1)
+    code, out, _ = run_cli(tmp_path, "depletion", "--L", "1000000", "--n", "1", "--u-grid", "0.5,1,2")
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        f"latscat: capacity: a depletion grid of 3 points needs about {3 * exact.POINT_BYTES} bytes"
     )
-    assert proc.returncode == 3, proc.stderr
-    needed = 100000 * 999999 * exact.KEPT_MODE_BYTES
-    assert proc.stderr.startswith(
-        "latscat: capacity: L=1000000: a depletion grid of 0 points and 99999900000 kept "
-        f"condensate modes needs about {needed} bytes"
-    )
-    assert not (tmp_path / "run.csv").exists()
+    assert not out.exists()
+    # at L = 10^5 a condensate holds about 0.8 MB while it is solved and
+    # read; the run's peak grows from 2 u to 10 by at most their rows
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**33)
+    args = ("depletion", "--L", "100000", "--n", "1", "--u-grid")
+    assert run_cli(tmp_path, *args, "0:1:2")[0] == 0  # the process's one-time state
+    peaks = []
+    for grid in ("0:1:2", "0:1:10"):
+        tracemalloc.start()
+        try:
+            assert run_cli(tmp_path, *args, grid)[0] == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * exact.POINT_BYTES, peaks
 
 
 def test_the_mott_limit_of_a_chain_of_any_length_allocates_no_modes(tmp_path):

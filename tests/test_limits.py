@@ -1,6 +1,8 @@
 """Limiting cross sections, asymptotic laws, marker angles, deviation metric."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from latscat.bogoliubov import (
@@ -29,6 +31,7 @@ from latscat.model import (
     ProbeSpec,
     bloch_dispersion,
     form_factor,
+    is_reciprocal,
     kappa_elastic,
     lattice_sum_sq,
     quasimomentum_grid,
@@ -119,6 +122,38 @@ def test_mi_nearest_neighbour_dominates():
         * 2 * (L - 1) * np.exp(-np.pi**2 * np.sqrt(V0) / 2.0) / L
     )
     assert_allclose(mi_inelastic(L, n, E0, theta, U=U), nn_only, rtol=1e-6)
+
+
+def inline_mi_inelastic(L, n, E0, theta, V0, mass_ratio, U):
+    """mi_inelastic with its pair sum taken at every call, as it once was."""
+    if U >= E0:
+        return 0.0
+    kel = kappa_elastic(ProbeSpec(E0=E0, theta=theta, mass_ratio=mass_ratio))
+    if is_reciprocal(kel):
+        return 0.0
+    C = np.sqrt(1.0 - U / E0)
+    w2 = float(form_factor(kel * C, V0)) ** 2
+    pair_sum = 0.0
+    for m in range(1, min(3, L - 1) + 1):
+        pair_sum += 2 * (L - m) * np.exp(-(m**2) * np.pi**2 * np.sqrt(V0) / 2.0)
+    return n * (n + 1) * C * w2 * pair_sum / L
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    L=st.integers(1, 10**6),
+    n=st.floats(0.05, 5.0),
+    E0=st.floats(0.01, 6.0),
+    theta=st.floats(0.0, np.pi / 2),
+    V0=st.floats(0.5, 60.0),
+    mass_ratio=st.floats(0.1, 10.0),
+    U=st.floats(0.0, 8.0),
+)
+def test_mi_pair_sum_taken_once_equals_the_inline_form(L, n, E0, theta, V0, mass_ratio, U):
+    # the pair sum depends on (L, V0) alone, and is taken once for them;
+    # every value is the inline form's, bit for bit
+    got = mi_inelastic(L, n, E0, theta, V0, mass_ratio, U)
+    assert got == inline_mi_inelastic(L, n, E0, theta, V0, mass_ratio, U)
 
 
 # ------------------------------------------------------------ large-L forms

@@ -182,7 +182,7 @@ def test_a_v1_cache_file_is_recomputed_with_a_warning(tmp_path):
         + dense.density_elements.astype("<f8").tobytes()
     )
     manifest = RunManifest(command="test", parameters={})
-    result = cache_spectra([lattice], tmp_path, manifest)[0]
+    result = next(cache_spectra([lattice], tmp_path, manifest))
     assert len(manifest.warnings) == 1
     assert "recomputing spectrum" in manifest.warnings[0] and "format v1" in manifest.warnings[0]
     assert (manifest.cache["hits"], manifest.cache["misses"]) == (0, 1)
@@ -199,11 +199,11 @@ def test_cache_keys_distinguish_couplings(tmp_path):
 def test_cache_spectrum_recovers_from_corruption(tmp_path):
     lattice = _small_lattice()
     manifest = RunManifest(command="test", parameters={})
-    cache_spectra([lattice], tmp_path, manifest)[0]
+    next(cache_spectra([lattice], tmp_path, manifest))
     assert manifest.cache["misses"] == 1
     path = cache_path(tmp_path, lattice)
     path.write_bytes(b"garbage\n")
-    result = cache_spectra([lattice], tmp_path, manifest)[0]
+    result = next(cache_spectra([lattice], tmp_path, manifest))
     assert manifest.warnings and "recomputing" in manifest.warnings[0]
     assert result.eigenvalues.size == 35
     # the corrupted entry was rewritten and is loadable again
@@ -249,7 +249,7 @@ def test_a_wrong_ground_weight_warns_with_the_plain_number(tmp_path):
     channels[0, 2] = 0.9
     path.write_bytes(head + b"\n" + channels.tobytes())
     manifest = RunManifest(command="test", parameters={})
-    cache_spectra([lattice], tmp_path, manifest)
+    list(cache_spectra([lattice], tmp_path, manifest))
     (warning,) = manifest.warnings
     assert warning.endswith("ground-state weight is 0.9, expected (N/L)^2 = 1.0"), warning
     fault = exact.ground_channel_fault(np.float64(np.pi), np.float64(1.0), 4, 4)
@@ -279,7 +279,7 @@ def test_cache_spectrum_recomputes_corrupt_content(tmp_path, corrupt):
     path.write_bytes(head + b"\n" + channels.tobytes())
 
     manifest = RunManifest(command="test", parameters={})
-    result = cache_spectra([lattice], tmp_path, manifest)[0]
+    result = next(cache_spectra([lattice], tmp_path, manifest))
     assert len(manifest.warnings) == 1 and "recomputing spectrum" in manifest.warnings[0]
     assert (manifest.cache["hits"], manifest.cache["misses"]) == (0, 1)
     for name in ("eigenvalues", "momenta", "weights"):
@@ -303,11 +303,55 @@ def test_a_lattice_repeated_in_one_call_is_solved_once_and_counted_once(
     assert manifest.spectra["solved"] == 1
 
 
+def test_a_later_lattice_past_memory_is_refused_before_the_first_solve(tmp_path, monkeypatch):
+    # N = 4 on L = 4 needs 10400 bytes for its sector solve, N = 2 on L = 4
+    # far less: the second is refused before the first is solved or cached
+    solved, solve = [], scans.sector_spectrum
+    monkeypatch.setattr(scans, "sector_spectrum", lambda lat: solved.append(lat) or solve(lat))
+    monkeypatch.setattr("latscat.exact._available_bytes", lambda: 10399)
+    small, big = (LatticeSpec(L=4, n=N / 4, U=0.0065, J=0.0065) for N in (2, 4))
+    with pytest.raises(CapacityError, match=r"N=4, L=4: .* 10400 bytes"):
+        cache_spectra([small, big], tmp_path / "cache")
+    assert solved == [] and not any((tmp_path / "cache").iterdir())
+    # so is a run whose later cell is past memory
+    config = ScanConfig(
+        command="deviation-map", L_values=(4,), n=1.0, u_grid=(1.0,), theta_grid=3,
+        cache_dir=str(tmp_path / "cache"), out=str(tmp_path / "map.csv"),
+    )
+    with pytest.raises(CapacityError, match=r"N=4, L=4: "):
+        execute(config)
+    assert solved == [] and not any((tmp_path / "cache").iterdir())
+    assert not (tmp_path / "map.csv").exists()
+
+
+def test_a_u_grid_with_repeated_values_fetches_each_lattice_once(tmp_path, monkeypatch):
+    # u = 1, 2 and 3, each twice or more, out of order: three lattices, each
+    # solved once when cold and loaded once when warm, to the same bytes
+    solved, solve = [], scans.sector_spectrum
+    monkeypatch.setattr(scans, "sector_spectrum", lambda lat: solved.append(lat) or solve(lat))
+    config = ScanConfig(
+        command="u-scan", L_values=(4,), n=1.0, u_grid=(1.0, 2.0, 1.0, 3.0, 2.0, 1.0),
+        cache_dir=str(tmp_path / "cache"), out=str(tmp_path / "run.csv"),
+    )
+    csv_path, cold = execute(config)
+    cold_bytes = csv_path.read_bytes()
+    assert (cold.cache["hits"], cold.cache["misses"]) == (0, 3)
+    assert cold.spectra["solved"] == len(solved) == len({lat.U for lat in solved}) == 3
+    _, warm = execute(config)
+    assert (warm.cache["hits"], warm.cache["misses"]) == (3, 0) and len(solved) == 3
+    assert csv_path.read_bytes() == cold_bytes
+    by_u = {}  # the lines of each u, with exact, bogoliubov and linear
+    for line in cold_bytes.decode("ascii").splitlines()[2:]:
+        by_u.setdefault(line.split(",")[0], []).append(line)
+    for u, times in (("1", 3), ("2", 2), ("3", 1)):
+        assert by_u[u] == by_u[u][:3] * times, u
+
+
 def test_cache_spectrum_counts_hits(tmp_path):
     lattice = _small_lattice()
     manifest = RunManifest(command="test", parameters={})
-    first = cache_spectra([lattice], tmp_path, manifest)[0]
-    second = cache_spectra([lattice], tmp_path, manifest)[0]
+    first = next(cache_spectra([lattice], tmp_path, manifest))
+    second = next(cache_spectra([lattice], tmp_path, manifest))
     assert (manifest.cache["misses"], manifest.cache["hits"]) == (1, 1)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.weights, second.weights)
@@ -508,19 +552,10 @@ def test_deviation_map_charges_each_step_before_laying_it_out(monkeypatch):
     assert built == [1, 1, 2, 2]
 
 
-def layout_charge(command, points, kept=()):
-    """What run's layout charge names, and its bytes: the points, and the
-    L - 1 modes of a condensate kept at each L of ``kept``."""
-    modes = sum(kept) - len(kept)
-    what = f"a {command} grid of {points} points"
-    if kept:
-        what = f"L={max(kept)}: {what} and {modes} kept condensate modes"
-    return what, points * exact.POINT_BYTES + modes * exact.KEPT_MODE_BYTES
-
-
-# the L of each condensate that run's layout charge counts: heatmap and
-# deviation-map are refused inside their layouts, before that charge
-KEPT_WHEN_REFUSED = {"u-scan": (5,) * 7}
+def layout_charge(command, points):
+    """What run's layout charge names, and its bytes: its rows, at
+    exact.POINT_BYTES a row."""
+    return f"a {command} grid of {points} points", points * exact.POINT_BYTES
 
 
 @pytest.mark.parametrize(
@@ -529,8 +564,7 @@ KEPT_WHEN_REFUSED = {"u-scan": (5,) * 7}
         # 41 probe energies at each of 30 angles, refused as the layout
         # builds its probes
         ("heatmap", dict(L_values=(5,), theta_grid=30), 41 * 30),
-        # 7 u at 10 angles, each u's condensate of 4 modes kept, refused
-        # before any spectrum is solved
+        # 7 u at 10 angles, refused before any spectrum is solved
         ("u-scan", dict(L_values=(5,), n=2.0, u_grid=tuple(range(7)), theta_grid=10), 7 * 10),
         # 3 fillings of L = 3 (N = 1, 2, 3) at 8 U/J and 3 angles, refused
         # at the third filling's step; every cell's sector solve, at most
@@ -543,41 +577,37 @@ def test_a_grid_is_charged_by_its_site_probe_pairs(monkeypatch, command, options
     # at exact.POINT_BYTES a point
     available = 50 * exact.POINT_BYTES
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: available)
-    kept = KEPT_WHEN_REFUSED.get(command, ())
-    what, needed = layout_charge(command, pairs * len(COMMANDS[command].allowed), kept)
+    what, needed = layout_charge(command, pairs * len(COMMANDS[command].allowed))
     with pytest.raises(
         CapacityError, match=rf"^{what} needs about {needed} bytes, but only {available}"
     ):
         run(ScanConfig(command=command, **options))
 
 
-# small runs of every command that lays out probes, their points and the L
-# of each condensate they keep: each cell's sector solve (at most 1968 bytes
-# on L = 3) and condensate fit at the charge of its layout
+# small runs of every command that lays out probes, and their points: each
+# cell's sector solve (at most 1968 bytes on L = 3) fits at the charge of its
+# layout
 SMALL_RUNS = {
-    "theta-scan": (
-        6 * 10, (3,), dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)
-    ),
-    "compare": (2 * 10, (3,), dict(L_values=(3,), n=1.0, U_over_J=1.0)),
+    "theta-scan": (6 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0, provenance=scans.PROVENANCES)),
+    "compare": (2 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0)),
     # 2 u at 10 angles, with exact, bogoliubov and linear
-    "u-scan": (2 * 10 * 3, (3, 3), dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0))),
+    "u-scan": (2 * 10 * 3, dict(L_values=(3,), n=1.0, u_grid=(1.0, 5.0))),
     # 41 probe energies at each of 10 angles
-    "heatmap": (41 * 10, (3,), dict(L_values=(3,), n=1.0, U_over_J=1.0)),
+    "heatmap": (41 * 10, dict(L_values=(3,), n=1.0, U_over_J=1.0)),
     # N = 1, 2 and 3 at one U/J
-    "deviation-map": (3 * 10, (3, 3, 3), dict(L_values=(3,), n=1.0, u_grid=(1.0,))),
-    # L = 3 with linear, L = 5 with linear and largeL, whose condensate it keeps
-    "slope": (10 + 2 * 10, (5,), dict(L_values=(3, 5))),
+    "deviation-map": (3 * 10, dict(L_values=(3,), n=1.0, u_grid=(1.0,))),
+    # L = 3 with linear, L = 5 with linear and largeL
+    "slope": (10 + 2 * 10, dict(L_values=(3, 5))),
 }
 
 
 @pytest.mark.parametrize("command", sorted(SMALL_RUNS))
 def test_a_grid_that_fits_the_least_charge_but_not_its_commands_is_refused(monkeypatch, command):
     # the least charge is the counted angle grid's, a point an angle; the
-    # command is refused one byte short of its own points and kept modes,
-    # and runs at them
-    points, kept, options = SMALL_RUNS[command]
+    # command is refused one byte short of its own points, and runs at them
+    points, options = SMALL_RUNS[command]
     config = ScanConfig(command=command, theta_grid=10, **options)
-    what, needed = layout_charge(command, points, kept)
+    what, needed = layout_charge(command, points)
     assert 10 * exact.POINT_BYTES < needed - 1
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: needed - 1)
     with pytest.raises(
@@ -634,31 +664,50 @@ def test_a_command_is_charged_at_least_what_each_pair_holds(monkeypatch, tmp_pat
         assert 0 < slope <= exact.POINT_BYTES, (kinds, slope, exact.POINT_BYTES)
 
 
-@pytest.mark.parametrize(
-    "command, kinds, points", [("depletion", None, 0), ("u-scan", ("bogoliubov", "linear"), 2)]
-)
-def test_a_kept_condensate_is_charged_at_least_what_it_holds(
-    monkeypatch, tmp_path, command, kinds, points
-):
-    # at L = 1000 what a run holds grows per u by at most its charge a u:
-    # its points at the one default angle, and the 999 modes of the u's
-    # condensate at exact.KEPT_MODE_BYTES each
+# runs whose sites each read a condensate or a spectrum, their rows a u,
+# and the u counts measured: at L = 1000 a condensate dwarfs a row, at
+# L = 20, N = 3 each u solves a spectrum of dimension 1540, and at L = 5 a
+# site's fixed part does
+HELD_PER_U = {
+    "depletion-L1000": ("depletion", None, 1, (20, 40), dict(L_values=(1000,))),
+    "u-scan-bogoliubov-linear-L1000": (
+        "u-scan", ("bogoliubov", "linear"), 2, (20, 40), dict(L_values=(1000,))
+    ),
+    "u-scan-exact-L20": ("u-scan", ("exact",), 1, (10, 20), dict(L_values=(20,), n=0.15)),
+    "u-scan-bogoliubov-linear-L5": (
+        "u-scan", ("bogoliubov", "linear"), 2, (50, 100), dict(L_values=(5,))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HELD_PER_U))
+def test_what_a_run_holds_grows_per_u_by_at_most_its_rows_charge(monkeypatch, tmp_path, case):
+    # a run keeps the rows it writes, and each site's condensate, spectrum
+    # and curves only while its rows are built: its peak grows per u by at
+    # most the u's rows at exact.POINT_BYTES each.  An untraced run of the
+    # larger grid first fills the cache and the process's one-time state,
+    # so the traced runs load their spectra, a transient that does not vary
+    # from one u to the next as a solve's does
+    command, kinds, rows, counts, options = HELD_PER_U[case]
     monkeypatch.setattr("latscat.exact._available_bytes", lambda: 2**33)
-    peaks, counts = [], (20, 40)
-    for count in counts:
-        config = ScanConfig(
-            command=command, L_values=(1000,), provenance=kinds,
-            u_grid=tuple(0.01 * (i + 1) for i in range(count)), out=str(tmp_path / "run.csv"),
+
+    def config(count):
+        return ScanConfig(
+            command=command, provenance=kinds, u_grid=tuple(0.01 * (i + 1) for i in range(count)),
+            cache_dir=str(tmp_path / "cache"), out=str(tmp_path / "run.csv"), **options,
         )
+
+    execute(config(counts[1]))
+    peaks = []
+    for count in counts:
         tracemalloc.start()
         try:
-            execute(config)
+            execute(config(count))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     slope = (peaks[1] - peaks[0]) / (counts[1] - counts[0])
-    charge = points * exact.POINT_BYTES + 999 * exact.KEPT_MODE_BYTES
-    assert 0 < slope <= charge, (slope, charge)
+    assert 0 < slope <= rows * exact.POINT_BYTES, (slope, rows * exact.POINT_BYTES)
 
 
 def test_memory_for_the_sectors_but_not_the_dense_matrix_is_enough(monkeypatch, tmp_path):

@@ -186,7 +186,7 @@ def test_a_spectrum_does_not_depend_on_the_blas_thread_count(tmp_path):
         code = (
             "from latscat.model import LatticeSpec\n"
             "from latscat.scans import cache_spectra\n"
-            f"cache_spectra([{lattice}], {str(tmp_path / threads)!r})[0]\n"
+            f"next(cache_spectra([{lattice}], {str(tmp_path / threads)!r}))\n"
         )
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -209,7 +209,7 @@ def test_every_command_writes_the_same_bytes_for_one_lattice(tmp_path):
             cache_dir=str(tmp_path / "d"),
         )
     )
-    cache_spectra([lattice], tmp_path / "c")[0]
+    next(cache_spectra([lattice], tmp_path / "c"))
     blobs = {cache_path(tmp_path / d, lattice).read_bytes() for d in "udc"}
     assert len(blobs) == 1
 
