@@ -23,7 +23,10 @@ A spectrum keeps one entry, the open channels of the last probe energy it
 was asked for (SpectrumResult.channels): their roots and count, and their
 momenta and weights or their rows of the density table.  It is at most the
 size of those arrays, is replaced when another energy is asked for, and
-holds no cross section.
+holds no cross section.  A dense entry also keeps its sorted distinct roots
+(OpenChannels.distinct): states of one energy share one rescaled transfer,
+so the dense summand takes one complex exponential per (probe, distinct
+root, site).
 
 The spectrum is solved two ways.  ``diagonalize`` builds the dense matrix
 and hands its own storage to SciPy's eigensolver, which writes it during
@@ -840,8 +843,12 @@ def _table_sums(spectrum, lattice, probes):
     """Inelastic cross section per probe from the density table's rows at
     each energy.
 
-    The table must have the lattice's sites, and its ground row must sum to
-    the lattice's N to density_elements' 1e-10 max(1, N).
+    The phases e^{i k_e x_j} are taken once per distinct root of the entry
+    and gathered back to its channels in their order, so each channel sees
+    the floats it would see alone and every sum is bit for bit the one of a
+    phase per channel.  The table must have the lattice's sites, and its
+    ground row must sum to the lattice's N to density_elements' 1e-10
+    max(1, N).
     """
     table = spectrum.density_elements
     N, L = lattice.N, lattice.L
@@ -859,8 +866,10 @@ def _table_sums(spectrum, lattice, probes):
 
     def summand(channels, kappa_e, kel):
         (rows,) = channels.rows
-        phases = 1j * (kappa_e[..., None] * x)
-        amps = np.abs(np.einsum("pej,ej->pe", np.exp(phases, out=phases), rows))
+        distinct, inverse = channels.distinct
+        phases = 1j * ((kel * distinct)[..., None] * x)
+        np.exp(phases, out=phases)
+        amps = np.abs(np.einsum("pej,ej->pe", np.take(phases, inverse, axis=1), rows))
         out = form_factor(kappa_e, lattice.V0)
         np.square(out, out=out)
         out *= channels.root

@@ -62,9 +62,13 @@ def high_probe_energy(E0: float, J: float, u: float = 0.0) -> bool:
 # ------------------------------------------------------------------ limits
 
 
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=1, typed=True)
 def _free_state(L: int, J: float) -> BogoliubovState:
-    """The interaction-free condensate at unit filling, solved once per (L, J)."""
+    """The interaction-free condensate at unit filling, kept for the last (L, J) asked for.
+
+    Its callers read one lattice at a time, so one condensate is all a
+    process holds, however many lattices it sweeps.
+    """
     return solve_depletion(LatticeSpec(L=L, n=1.0, U=0.0, J=J))
 
 

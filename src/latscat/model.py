@@ -19,6 +19,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -239,14 +240,25 @@ class OpenChannels:
     ``root`` is sqrt(1 - omega/E0) at the owner's channel energies omega
     below E0, ``count`` is the number of the owner's states below E0, and
     ``rows`` are copies of the owner's per-channel arrays at the open
-    channels.  Every array is read-only.  An entry holds channel data only,
-    never a cross section.
+    channels.  ``distinct`` holds the sorted distinct roots and the index of
+    each channel's root among them; it is built the first time a summand
+    asks for it, so an entry whose summand never asks pays nothing.  Every
+    array is read-only.  An entry holds channel data only, never a cross
+    section.
     """
 
     E0: float
     root: np.ndarray
     count: int
     rows: tuple = ()
+
+    @cached_property
+    def distinct(self) -> tuple:
+        """(roots, inverse): the sorted distinct roots, with roots[inverse] == root."""
+        roots, inverse = np.unique(self.root, return_inverse=True)
+        for array in (roots, inverse):
+            array.flags.writeable = False
+        return roots, inverse
 
 
 def open_channels(omega, E0: float, rows=(), count=None) -> OpenChannels:

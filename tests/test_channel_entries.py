@@ -12,8 +12,12 @@ per run of probes of one energy, however the run is split into blocks, and
 hands each summand the entry it got.  The entry is shared by threads,
 so its arrays are read-only, and it is published by one store once it is
 built in full.  The Born kernels evaluate an array in place, in arrays of
-their own, and a scalar in numpy's scalar arithmetic.
+their own, and a scalar in numpy's scalar arithmetic.  A dense entry also
+keeps its distinct roots, from which the dense summand takes one phase row
+per root; its curve is bit for bit the one of a phase per channel, and no
+other entry builds them.
 """
+import contextlib
 import sys
 import threading
 import time
@@ -25,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from latscat import bogoliubov, exact, model
+from latscat import bogoliubov, exact, limits, model
 from latscat.bogoliubov import bog_inelastic_cs, bog_inelastic_curve, solve_depletion
 from latscat.exact import (
     diagonalize,
@@ -436,3 +440,123 @@ def test_an_entry_is_a_copy_of_its_owners_arrays_at_the_open_channels():
             for row, array in zip(entry.rows, arrays(fresh)):
                 assert np.array_equal(row, array[mask]), name
                 assert not np.shares_memory(row, array), name
+
+
+def reference_table_sums(spectrum, lattice, probes):
+    """The dense summand as it was written before it took one phase row per
+    distinct root: one complex exponential per (probe, channel, site)."""
+    x = np.arange(1, lattice.L + 1, dtype=float)
+
+    def summand(channels, kappa_e, kel):
+        (rows,) = channels.rows
+        phases = np.exp(1j * (kappa_e[..., None] * x))
+        amps = np.abs(np.einsum("pej,ej->pe", phases, rows))
+        return np.square(form_factor(kappa_e, lattice.V0)) * channels.root * np.square(amps)
+
+    return model.open_channel_sum(probes, replace(spectrum).channels, summand)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    L=st.integers(2, 6),
+    N=st.integers(1, 6),
+    u=st.one_of(st.just(0.0), st.floats(-3.0, np.log10(30.0)).map(lambda e: 10.0**e)),
+    scales=st.lists(
+        st.one_of(st.floats(0.05, 1.5), st.sampled_from([1.0, 40.0, 300.0])),
+        min_size=2,
+        max_size=2,
+    ),
+    mass_ratio=st.sampled_from([1.0, 7.0]),
+    thetas=st.lists(
+        st.one_of(st.sampled_from([0.0, "2pi"]), st.floats(-np.pi / 2, np.pi / 2)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_the_dense_curve_is_bit_for_bit_the_per_channel_summand(L, N, u, scales, mass_ratio, thetas):
+    # E0 from a twentieth of the band's top, where only its lowest states
+    # open, to far above it; "2pi" puts kappa_el on a reciprocal vector
+    # where E0 mass_ratio >= 4 allows it
+    lattice = LatticeSpec(L=L, n=N / L, U=u * J, J=J, V0=V0)
+    spectrum = diagonalize(lattice)
+    top = float(np.max(channel_energies(spectrum)))
+    energies = [s * top for s in scales]
+
+    def angle(theta, E0):
+        if theta == "2pi":
+            return -np.arcsin(min(1.0, 2.0 / np.sqrt(E0 * mass_ratio)))
+        return theta
+
+    def probe(E0, theta):
+        return ProbeSpec(E0=E0, theta=angle(theta, E0), mass_ratio=mass_ratio)
+
+    def same(probes):
+        assert list(exact_inelastic_curve(replace(spectrum), lattice, probes)) == list(
+            reference_table_sums(spectrum, lattice, probes)
+        )
+
+    for E0 in energies:
+        for theta in thetas:
+            same([probe(E0, theta)])
+    # probe by probe another energy: the entry is rebuilt for every probe
+    same([probe(energies[i % 2], theta) for theta in thetas for i in range(2)])
+    # past one block of model.CHUNK_TERMS terms at the first energy
+    opened = max(1, spectrum.channels(energies[0]).root.size)
+    count = model.CHUNK_TERMS // opened + 3
+    same([probe(energies[0], t) for t in np.linspace(-np.pi / 2, np.pi / 2, count)])
+
+
+@contextlib.contextmanager
+def watched_entries(*modules):
+    """Patch each module's open_channel_sum to record every entry handed to a summand."""
+    seen = []
+
+    def watching(probes, channels_at, summand):
+        def recording(channels, kappa, kel):
+            seen.append(channels)
+            return summand(channels, kappa, kel)
+
+        return model.open_channel_sum(probes, channels_at, recording)
+
+    with contextlib.ExitStack() as stack:
+        for module in modules:
+            stack.enter_context(mock.patch.object(module, "open_channel_sum", watching))
+        yield seen
+
+
+def test_a_dense_entry_keeps_its_distinct_roots_and_no_other_entry_builds_them():
+    lattice = LatticeSpec(L=5, n=0.8, U=0.0, J=J, V0=V0)  # free levels: many roots repeat
+    spectrum = diagonalize(lattice)
+    _, some, every = three_energies(spectrum)
+    probes = [ProbeSpec(E0=every, theta=t) for t in np.linspace(-1.2, 1.3, 7)]
+    first = exact_inelastic_curve(spectrum, lattice, probes)
+    entry = spectrum.channels(every)
+    roots, inverse = entry.distinct
+    assert np.array_equal(roots[inverse].view(np.int64), entry.root.view(np.int64))
+    assert np.all(np.diff(roots) > 0) and roots.size < entry.root.size
+    for array in (roots, inverse):
+        assert not array.flags.writeable
+        assert not np.shares_memory(array, entry.root)
+    # a second curve at the same energy reuses the entry and its arrays
+    assert list(exact_inelastic_curve(spectrum, lattice, probes)) == list(first)
+    assert spectrum.channels(every) is entry and entry.distinct[0] is roots
+    # another energy, then this one again: each entry builds its own
+    exact_inelastic_curve(spectrum, lattice, [ProbeSpec(E0=some, theta=0.7)])
+    assert "distinct" in vars(spectrum.channels(some))
+    assert spectrum.channels(some).distinct[0] is not roots
+    exact_inelastic_curve(spectrum, lattice, probes)
+    again = spectrum.channels(every)
+    assert again is not entry and again.distinct[0] is not roots
+    assert np.array_equal(again.distinct[0], roots)
+
+    # entries whose summands read their roots as they are never build them
+    state = solve_depletion(LatticeSpec(L=5, n=0.8, U=0.4 * J, J=J, V0=V0))
+    with watched_entries(exact, bogoliubov, limits) as seen:
+        exact_inelastic_curve(sector_spectrum(lattice), lattice, probes)
+        bog_inelastic_curve(state, probes, V0)
+        bogoliubov.two_qp_contribution(state, probes[0], V0)
+        limits.slope_curve(5, probes, V0, J)
+        assert len(seen) == 5  # slope_curve also sums the free condensate
+        exact_inelastic_curve(replace(spectrum), lattice, probes)
+    assert "distinct" in vars(seen.pop())
+    assert not any("distinct" in vars(entry) for entry in seen)

@@ -1,4 +1,7 @@
 """Limiting cross sections, asymptotic laws, marker angles, deviation metric."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from latscat.errors import BadParameterError, UndefinedDeviationError
 from latscat.exact import diagonalize, exact_cross_section
 from latscat.limits import (
     SlopeResult,
+    _free_state,
     deviation_delta_cs,
     elastic_cs,
     exact_angles,
@@ -24,6 +28,7 @@ from latscat.limits import (
     lattice_sum_sq_derivative,
     mi_inelastic,
     sf_inelastic,
+    slope_curve,
     slope_lambda,
 )
 from latscat.model import (
@@ -393,3 +398,28 @@ def test_deviation_interior_minimum_in_interaction():
 def test_slope_result_is_a_dataclass():
     result = slope_lambda(5, 2.0, 0.5)
     assert isinstance(result, SlopeResult)
+
+
+def test_one_free_condensate_is_held_after_linear_runs_on_three_lattices():
+    # the linear law reads the free condensate of its lattice; runs at
+    # L = 1000, 2000 and 4000 leave only the last one held, as one run does
+    probes = [ProbeSpec(E0=2.0, theta=0.7)]
+    slope_curve(5, probes, V0, J)  # whatever a first call sets up for good
+
+    def held_after(sizes):
+        _free_state.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for L in sizes:
+                slope_curve(L, probes, V0, J)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    one = held_after([4000])
+    assert one > 100_000  # an L = 4000 condensate: about 50 bytes a mode
+    assert held_after([1000, 2000, 4000]) <= 1.1 * one
+    assert _free_state.cache_info().currsize == 1
